@@ -1,14 +1,14 @@
 // Command emserve serves an online entity-resolution store over HTTP
 // JSON — the request-serving front door of the system. Records are
-// ingested with POST /records, queries resolved with POST /resolve,
-// and entity groups read back with GET /entities/{id}; GET /stats
-// reports how many candidate pairs the cascade decided locally versus
-// escalating to the LLM.
+// ingested with POST /v1/records, queries resolved with POST
+// /v1/resolve, and entity groups read back with GET /v1/entities/{id};
+// GET /v1/stats reports how many candidate pairs the cascade decided
+// locally versus escalating to the LLM.
 //
 // Uncertain pairs from concurrent resolves are coalesced into
 // batched prompts by a cross-request micro-batching dispatcher
 // (-dispatch-pairs, default 16; 0 disables), so heavy traffic pays
-// far fewer LLM round-trips than it resolves pairs. GET /stats
+// far fewer LLM round-trips than it resolves pairs. GET /v1/stats
 // reports the dispatcher's batch counters under "dispatch".
 //
 // The prompt formulation for the uncertain band is selectable with
@@ -16,13 +16,13 @@
 // a query's uncertain candidates with one grouped prompt instead of
 // one prompt per pair, and -reason-tier re-decides pairs whose first
 // LLM verdict conflicts with the local scorer through a structured
-// multi-step reasoning prompt. GET /stats reports per-strategy calls,
+// multi-step reasoning prompt. GET /v1/stats reports per-strategy calls,
 // pairs and tokens under "strategies"; see docs/STRATEGIES.md.
 //
-// The process is fully instrumented: GET /metrics serves Prometheus
+// The process is fully instrumented: GET /v1/metrics serves Prometheus
 // text exposition covering per-stage resolve latency, cascade
 // outcomes, dispatcher batching, LLM calls and WAL/snapshot
-// durability; GET /healthz and GET /readyz are the liveness and
+// durability; GET /v1/healthz and GET /v1/readyz are the liveness and
 // readiness probes (readiness flips on after recovery and preload
 // finish). Every response carries an X-Request-ID header (inbound
 // values are propagated), access logs are structured (-log-format
@@ -37,8 +37,8 @@
 // open — or a -resolve-timeout deadline expires mid-escalation — the
 // uncertain band is answered by the local scorer with decisions
 // marked "deferred", and a background re-escalator replays them
-// against the LLM once it recovers (-deferred-retry). GET /readyz
-// stays 200 but annotates the degraded mode; GET /stats reports
+// against the LLM once it recovers (-deferred-retry). GET /v1/readyz
+// stays 200 but annotates the degraded mode; GET /v1/stats reports
 // breaker state, shed counts and deferred queue depth under
 // "resilience". The -chaos-outage flag fails every LLM call for a
 // window after boot, for fault drills (scripts/chaos_smoke.sh).
@@ -61,15 +61,15 @@
 //
 // Quickstart:
 //
-//	curl -s localhost:8080/stats
-//	curl -s localhost:8080/metrics | grep em_resolve
-//	curl -s -X POST localhost:8080/records -d \
+//	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/v1/metrics | grep em_resolve
+//	curl -s -X POST localhost:8080/v1/records -d \
 //	  '{"records":[{"id":"r1","attrs":[{"name":"title","value":"sony dsc120b camera black"}]}]}'
-//	curl -s -X POST localhost:8080/resolve -d \
+//	curl -s -X POST localhost:8080/v1/resolve -d \
 //	  '{"id":"q1","attrs":[{"name":"title","value":"Sony DSC-120B camera (black)"}]}'
-//	curl -s localhost:8080/entities/q1
+//	curl -s localhost:8080/v1/entities/q1
 //
-// POST /records also accepts a bare JSON array of records, a single
+// POST /v1/records also accepts a bare JSON array of records, a single
 // record object, or NDJSON (Content-Type: application/x-ndjson, one
 // record per line); every form is ingested as one batch.
 //

@@ -50,7 +50,7 @@ func waitStats(t *testing.T, url string, what string, cond func(map[string]any) 
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		_, body := getJSON(t, url+"/stats")
+		_, body := getJSON(t, url+"/v1/stats")
 		if res, ok := body["resilience"].(map[string]any); ok && cond(res) {
 			return
 		}
@@ -71,13 +71,13 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 	wrapped := chaos.Wrap(model, chaos.ClientOptions{})
 	srv := newResilientServer(t, wrapped, llm4em.StoreOptions{Resilience: fastResilience()})
 
-	resp, body := postJSON(t, srv.URL+"/records", seedBody)
+	resp, body := postJSON(t, srv.URL+"/v1/records", seedBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /records = %d: %v", resp.StatusCode, body)
 	}
 
 	wrapped.SetOutage(true)
-	resp, body = postJSON(t, srv.URL+"/resolve",
+	resp, body = postJSON(t, srv.URL+"/v1/resolve",
 		`{"id":"q1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"},{"name":"price","value":"348.00"}]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /resolve during outage = %d: %v", resp.StatusCode, body)
@@ -93,7 +93,7 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 		}
 	}
 
-	resp, body = getJSON(t, srv.URL+"/readyz")
+	resp, body = getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /readyz during outage = %d, want 200 (degraded replicas stay ready)", resp.StatusCode)
 	}
@@ -101,7 +101,7 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 		t.Fatalf("readyz degraded = %v, want llm_breaker_open", body["degraded"])
 	}
 
-	_, body = getJSON(t, srv.URL+"/stats")
+	_, body = getJSON(t, srv.URL+"/v1/stats")
 	res := body["resilience"].(map[string]any)
 	if res["enabled"] != true || res["breaker_state"] != "open" {
 		t.Fatalf("stats resilience block during outage: %v", res)
@@ -114,7 +114,7 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 	waitStats(t, srv.URL, "deferred queue drain", func(res map[string]any) bool {
 		return res["deferred_queue"].(float64) == 0 && res["redecided"].(float64) > 0
 	})
-	resp, body = getJSON(t, srv.URL+"/readyz")
+	resp, body = getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /readyz after recovery = %d", resp.StatusCode)
 	}
@@ -154,7 +154,7 @@ func TestServerShedsWith503(t *testing.T) {
 	}}
 	srv := newResilientServer(t, client, opts)
 
-	resp, body := postJSON(t, srv.URL+"/records", seedBody)
+	resp, body := postJSON(t, srv.URL+"/v1/records", seedBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /records = %d: %v", resp.StatusCode, body)
 	}
@@ -170,7 +170,7 @@ func TestServerShedsWith503(t *testing.T) {
 		wg.Add(1)
 		go func(i byte) {
 			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/resolve", "application/json", strings.NewReader(resolveBody(i)))
+			resp, err := http.Post(srv.URL+"/v1/resolve", "application/json", strings.NewReader(resolveBody(i)))
 			if err != nil {
 				t.Error(err)
 				return
@@ -186,7 +186,7 @@ func TestServerShedsWith503(t *testing.T) {
 	})
 
 	// Slot and queue full: the third resolve is shed immediately.
-	resp, body = postJSON(t, srv.URL+"/resolve", resolveBody(3))
+	resp, body = postJSON(t, srv.URL+"/v1/resolve", resolveBody(3))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed resolve = %d: %v, want 503", resp.StatusCode, body)
 	}
@@ -228,7 +228,7 @@ func TestServerResolveTimeout(t *testing.T) {
 			resolveTimeout: 50 * time.Millisecond,
 		}))
 		t.Cleanup(srv.Close)
-		resp, body := postJSON(t, srv.URL+"/records", seedBody)
+		resp, body := postJSON(t, srv.URL+"/v1/records", seedBody)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST /records = %d: %v", resp.StatusCode, body)
 		}
@@ -237,7 +237,7 @@ func TestServerResolveTimeout(t *testing.T) {
 	query := `{"id":"q1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`
 
 	srv := build(true)
-	resp, body := postJSON(t, srv.URL+"/resolve", query)
+	resp, body := postJSON(t, srv.URL+"/v1/resolve", query)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resolve with deadline+resilience = %d: %v, want 200", resp.StatusCode, body)
 	}
@@ -248,7 +248,7 @@ func TestServerResolveTimeout(t *testing.T) {
 	}
 
 	srv = build(false)
-	resp, body = postJSON(t, srv.URL+"/resolve", query)
+	resp, body = postJSON(t, srv.URL+"/v1/resolve", query)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("resolve with deadline, no resilience = %d: %v, want 504", resp.StatusCode, body)
 	}

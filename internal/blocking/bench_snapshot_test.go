@@ -4,15 +4,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"llm4em/internal/entity"
 )
 
-// benchmarkQueryOpts measures one bounded Query against a prebuilt
-// index of n records under the given options, reporting postings
-// bytes/record so the compression benchmarks double as the size
-// measurement BENCH_index10m.json records.
-func benchmarkQueryOpts(b *testing.B, n int, opts IndexOptions) {
+// benchmarkQueryBuilt measures one bounded Query against an index of
+// n records built by build, reporting postings bytes/record so the
+// compression benchmarks double as the size measurement
+// BENCH_index10m.json records.
+func benchmarkQueryBuilt(b *testing.B, n int, build func([]entity.Record) queryIndex) {
 	records := syntheticRecords(n)
-	ix := BuildIndex(records, opts)
+	ix := build(records)
 	queries := make([]string, 256)
 	for i := range queries {
 		queries[i] = records[(i*37)%n].Serialize()
@@ -26,15 +28,15 @@ func benchmarkQueryOpts(b *testing.B, n int, opts IndexOptions) {
 	b.ReportMetric(float64(ix.PostingsBytes())/float64(n), "postings-B/record")
 }
 
-// The compressed+pruned default against the raw reference postings at
+// The production index against the test-side raw postings baseline at
 // 100k records — the pair the bench_regression.sh size/speed gate
 // compares.
 func BenchmarkIndexQueryCompressed100k(b *testing.B) {
-	benchmarkQueryOpts(b, 100000, IndexOptions{Compression: CompressionVarint, Pruning: PruningBlockMax})
+	benchmarkQueryBuilt(b, 100000, func(r []entity.Record) queryIndex { return BuildIndex(r, IndexOptions{}) })
 }
 
 func BenchmarkIndexQueryRaw100k(b *testing.B) {
-	benchmarkQueryOpts(b, 100000, IndexOptions{Compression: CompressionNone})
+	benchmarkQueryBuilt(b, 100000, func(r []entity.Record) queryIndex { return buildRawIndex(r, IndexOptions{}) })
 }
 
 // BenchmarkSnapshotWrite measures writing the mmap snapshot of a

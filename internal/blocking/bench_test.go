@@ -81,7 +81,7 @@ func BenchmarkCandidatesIndexReuse(b *testing.B) {
 	records := syntheticRecords(10000)
 	queries := records[:100]
 	blocker := &TokenBlocker{MaxCandidates: 5}
-	ix := NewIndex(records, 0.2)
+	ix := BuildIndex(records, IndexOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,7 +93,7 @@ func BenchmarkCandidatesIndexReuse(b *testing.B) {
 // index of n records — the per-request blocking hot path.
 func benchmarkIndexQuery(b *testing.B, n int) {
 	records := syntheticRecords(n)
-	ix := NewIndex(records, 0.2)
+	ix := BuildIndex(records, IndexOptions{})
 	queries := make([]string, 256)
 	for i := range queries {
 		queries[i] = records[(i*37)%n].Serialize()
@@ -113,7 +113,7 @@ func BenchmarkIndexAdd(b *testing.B) {
 	records := syntheticRecords(10000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	ix := NewIndex(nil, 0.2)
+	ix := BuildIndex(nil, IndexOptions{})
 	for i := 0; i < b.N; i++ {
 		ix.Add(records[i%len(records)])
 	}

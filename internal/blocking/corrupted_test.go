@@ -63,7 +63,7 @@ func corruptedCollection() []entity.Record {
 func TestQueryMatchesReferenceCorrupted(t *testing.T) {
 	recs := corruptedCollection()
 	for _, stopFrac := range []float64{0, 0.3, 1} {
-		ix := NewIndex(recs, stopFrac)
+		ix := BuildIndex(recs, IndexOptions{StopDocFrac: Float(stopFrac)})
 		queries := []string{
 			"sony camera",
 			"",

@@ -103,7 +103,7 @@ func TestQueryMatchesReference(t *testing.T) {
 		n := 5 + rng.Intn(60)
 		recs := randomRecords(rng, n)
 		stopFrac := []float64{0, 0.2, 0.5, 1}[rng.Intn(4)]
-		ix := NewIndex(recs, stopFrac)
+		ix := BuildIndex(recs, IndexOptions{StopDocFrac: Float(stopFrac)})
 		for q := 0; q < 15; q++ {
 			var text string
 			if rng.Intn(3) == 0 {
@@ -131,7 +131,7 @@ func TestQueryMatchesReference(t *testing.T) {
 func TestQueryTokensMatchesQuery(t *testing.T) {
 	rng := detrand.New("hotpath-tokens")
 	recs := randomRecords(rng, 40)
-	ix := NewIndex(recs, 0.2)
+	ix := BuildIndex(recs, IndexOptions{})
 	for q := 0; q < 25; q++ {
 		text := recs[rng.Intn(len(recs))].Serialize() + " Extra-Words x100"
 		got := ix.QueryTokens(tokenize.Words(text), 5, 0)
@@ -149,7 +149,7 @@ func TestQueryTokensMatchesQuery(t *testing.T) {
 // or one emptied of matching tokens — returns nil instead of relying
 // on every downstream loop tolerating the degenerate state.
 func TestIndexQueryEmpty(t *testing.T) {
-	ix := NewIndex(nil, 0.2)
+	ix := BuildIndex(nil, IndexOptions{})
 	if got := ix.Query("sony camera", 10, 0); got != nil {
 		t.Fatalf("empty-index Query = %v, want nil", got)
 	}
@@ -171,9 +171,9 @@ func TestIndexQueryEmpty(t *testing.T) {
 // serialization to the index is exactly Add.
 func TestAddSerializedMatchesAdd(t *testing.T) {
 	r := rec("a", "sony camera x100")
-	viaAdd := NewIndex(nil, 0.2)
+	viaAdd := BuildIndex(nil, IndexOptions{})
 	viaAdd.Add(r)
-	viaText := NewIndex(nil, 0.2)
+	viaText := BuildIndex(nil, IndexOptions{})
 	viaText.AddSerialized(r, r.Serialize())
 	a := viaAdd.Query("sony camera x100", 0, 0)
 	b := viaText.Query("sony camera x100", 0, 0)
@@ -190,7 +190,7 @@ func TestAddSerializedMatchesAdd(t *testing.T) {
 func TestQueryAllocBudget(t *testing.T) {
 	rng := detrand.New("hotpath-allocs")
 	recs := randomRecords(rng, 200)
-	ix := NewIndex(recs, 0.2)
+	ix := BuildIndex(recs, IndexOptions{})
 	text := recs[7].Serialize()
 	ix.Query(text, 5, 0) // warm the scratch pool
 	avg := testing.AllocsPerRun(200, func() {
@@ -204,30 +204,29 @@ func TestQueryAllocBudget(t *testing.T) {
 // TestQuerySparseMatchesDense forces the sparse accumulator (the
 // large-collection exhaustive path, normally gated behind
 // denseScoreRecords) and pins it byte-identical to the reference
-// oracle across every storage mode: fresh compressed, CompressionNone
-// and mmap-snapshot-backed, with bounded, unbounded, floored and
-// tie-heavy workloads.
+// oracle across every storage mode: fresh, mmap-snapshot-backed and
+// the test-side raw baseline, with bounded, unbounded, floored and
+// tie-heavy workloads. The WAND cutover is pushed out of reach so
+// bounded queries take the sparse scan too.
 func TestQuerySparseMatchesDense(t *testing.T) {
-	old := denseScoreRecords
-	denseScoreRecords = 1 // every query takes the sparse path
-	defer func() { denseScoreRecords = old }()
+	oldDense, oldWAND := denseScoreRecords, wandMinPostings
+	denseScoreRecords = 1         // every query takes the sparse path
+	wandMinPostings = math.MaxInt // ... bounded ones included
+	defer func() { denseScoreRecords, wandMinPostings = oldDense, oldWAND }()
 
 	rng := detrand.New("sparse-differential")
 	for round := 0; round < 10; round++ {
 		n := 5 + rng.Intn(120)
 		recs := randomRecords(rng, n)
 		stopFrac := []float64{0, 0.2, 0.5, 1}[rng.Intn(4)]
-		fresh := BuildIndex(recs, IndexOptions{StopDocFrac: Float(stopFrac), Pruning: PruningOff})
-		raw := BuildIndex(recs, IndexOptions{
-			StopDocFrac: Float(stopFrac),
-			Compression: CompressionNone,
-			Pruning:     PruningOff,
-		})
+		opts := IndexOptions{StopDocFrac: Float(stopFrac)}
+		fresh := BuildIndex(recs, opts)
+		raw := buildRawIndex(recs, opts)
 		path := filepath.Join(t.TempDir(), "sparse.emx")
 		if err := fresh.WriteSnapshot(path); err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := OpenMapped(path, IndexOptions{StopDocFrac: Float(stopFrac), Pruning: PruningOff})
+		mapped, err := OpenMapped(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +240,7 @@ func TestQuerySparseMatchesDense(t *testing.T) {
 			maxCandidates := []int{0, 1, 3, 10, 1000}[rng.Intn(5)]
 			minScore := []float64{0, 0.5, 1.0}[rng.Intn(3)]
 			want := referenceQuery(recs, stopFrac, text, maxCandidates, minScore)
-			for label, ix := range map[string]*Index{"fresh": fresh, "raw": raw, "mapped": mapped} {
+			for label, ix := range map[string]queryIndex{"fresh": fresh, "raw": raw, "mapped": mapped} {
 				got := ix.Query(text, maxCandidates, minScore)
 				if len(got) == 0 && len(want) == 0 {
 					continue

@@ -22,13 +22,12 @@ import (
 // postings are delta+varint compressed streams over those IDs
 // (postings.go) with sealed-block skip metadata, per-token IDF weights
 // are cached between queries, and bounded results come from top-K heap
-// selection. Bounded queries on a pruned index run document-at-a-time
-// with WAND pruning (wand.go), skipping posting blocks that cannot
-// reach the heap floor; the exhaustive term-at-a-time scan remains as
-// the unbounded/reference path, over a pooled flat scratch on small
-// collections and a sparse accumulator on large ones
-// (denseScoreRecords). Query and QueryTokens allocate only the
-// returned slice.
+// selection. Bounded queries over enough postings run
+// document-at-a-time with WAND pruning (wand.go), skipping posting
+// blocks that cannot reach the heap floor; short and unbounded queries
+// scan term-at-a-time, over a pooled flat scratch on small collections
+// and a sparse accumulator on large ones (denseScoreRecords). Query
+// and QueryTokens allocate only the returned slice.
 //
 // An Index comes in two storage modes. A fresh index (BuildIndex)
 // holds everything on the heap. A mapped index (OpenMapped) serves
@@ -49,24 +48,19 @@ import (
 // concurrent Query with a lock (internal/resolve shards do).
 // Concurrent Queries are safe with each other.
 type Index struct {
-	stopFrac   float64
-	compressed bool
-	pruned     bool
-	vocab      *tokenize.Vocab
+	stopFrac float64
+	vocab    *tokenize.Vocab
 	// snap is the mmap'ed base of an OpenMapped index; nil for a fresh
 	// one. When set, vocab holds only tokens first seen after the open,
 	// their IDs offset by snap.nTokens, and records holds only records
 	// added after it, their positions offset by snap.nRecords.
 	snap    *mappedIndex
 	records []entity.Record
-	// Exactly one postings representation is active. posts (fresh,
-	// compressed) is dense by token ID; overlay (mapped, compressed) is
-	// sparse because post-restart Adds touch few of the snapshot's
-	// tokens; postsRaw is the CompressionNone reference: raw ascending
-	// positions, length = document frequency.
-	posts    []postingList
-	overlay  map[uint32]*postingList
-	postsRaw [][]int32
+	// Exactly one postings container is active. posts (fresh) is
+	// dense by token ID; overlay (mapped) is sparse because
+	// post-restart Adds touch few of the snapshot's tokens.
+	posts   []postingList
+	overlay map[uint32]*postingList
 	// idfBits/idfAtN cache math.Float64bits of each token's IDF weight
 	// and the record count n it was computed at. Queries fill the
 	// cache through atomics: concurrent fillers write identical values
@@ -140,30 +134,15 @@ type scoreTerm struct {
 // of an mmap'ed snapshot instead of rebuilding, see OpenMapped.
 func BuildIndex(records []entity.Record, opts IndexOptions) *Index {
 	ix := &Index{
-		stopFrac:   opts.stopDocFrac(),
-		compressed: opts.compressed(),
-		pruned:     opts.pruned(),
-		vocab:      tokenize.NewVocab(),
-		records:    make([]entity.Record, 0, len(records)),
+		stopFrac: opts.stopDocFrac(),
+		vocab:    tokenize.NewVocab(),
+		records:  make([]entity.Record, 0, len(records)),
 	}
 	ix.scratch.New = func() any { return &queryScratch{} }
 	for _, r := range records {
 		ix.Add(r)
 	}
 	return ix
-}
-
-// NewIndex builds an index over the records. stopFrac is the stop-token
-// document-frequency fraction; values below zero disable no tokens
-// explicitly (a literal zero), values of one or more disable stop-token
-// filtering entirely.
-//
-// Deprecated: use BuildIndex with IndexOptions — the explicit
-// StopDocFrac field replaces both the positional parameter and its
-// negative sentinel. This shim selects the v1 defaults (varint
-// compression, block-max pruning).
-func NewIndex(records []entity.Record, stopFrac float64) *Index {
-	return BuildIndex(records, IndexOptions{StopDocFrac: Float(stopFrac)})
 }
 
 // snapTokens returns the number of token IDs owned by the mapped base.
@@ -214,19 +193,16 @@ func (ix *Index) AddSerialized(r entity.Record, text string) int {
 		if dup {
 			continue
 		}
-		switch {
-		case !ix.compressed:
-			ix.postsRaw[id] = append(ix.postsRaw[id], int32(pos))
-		case ix.snap == nil:
+		if ix.snap == nil {
 			ix.posts[id].add(int32(pos), -1)
-		default:
-			pl := ix.overlay[id]
-			if pl == nil {
-				pl = &postingList{}
-				ix.overlay[id] = pl
-			}
-			pl.add(int32(pos), ix.overlayBase(id))
+			continue
 		}
+		pl := ix.overlay[id]
+		if pl == nil {
+			pl = &postingList{}
+			ix.overlay[id] = pl
+		}
+		pl.add(int32(pos), ix.overlayBase(id))
 	}
 	ix.addIDs = ids[:0]
 	return pos
@@ -262,12 +238,7 @@ func (ix *Index) growTokens() {
 		ix.idfBits = append(ix.idfBits, 0)
 		ix.idfAtN = append(ix.idfAtN, 0)
 	}
-	switch {
-	case !ix.compressed:
-		for len(ix.postsRaw) < n {
-			ix.postsRaw = append(ix.postsRaw, nil)
-		}
-	case ix.snap == nil:
+	if ix.snap == nil {
 		for len(ix.posts) < n {
 			ix.posts = append(ix.posts, postingList{})
 		}
@@ -277,9 +248,6 @@ func (ix *Index) growTokens() {
 // tokenDF returns the document frequency of a token across the mapped
 // base and the live overlay.
 func (ix *Index) tokenDF(id uint32) int {
-	if !ix.compressed {
-		return len(ix.postsRaw[id])
-	}
 	if ix.snap == nil {
 		return int(ix.posts[id].df)
 	}
@@ -420,8 +388,9 @@ func (ix *Index) QueryTokens(tokens []string, maxCandidates int, minScore float6
 // heap bookkeeping carry a fixed cost that only pruning large posting
 // lists can repay, while the flat accumulator scans a few hundred
 // postings in the same time. Both paths rank identically, so the
-// cutover is purely a cost decision.
-const wandMinPostings = 4 * postingBlock
+// cutover is purely a cost decision. A variable only so the
+// differential tests can force the exhaustive scan on bounded queries.
+var wandMinPostings = 4 * postingBlock
 
 // wandThreshold is the cutover volume for a bounded query: the fixed
 // floor, or a multiple of the requested K when that is larger (a big K
@@ -436,10 +405,10 @@ func wandThreshold(maxCandidates int) int {
 // queryIDs scores the postings of sc.ids and selects the ranked
 // result. Read-only on the index, so concurrent queries are safe; sc
 // is owned by this call. The filtering pass below feeds every scorer:
-// bounded queries on a pruned index with enough scoring postings
-// (wandThreshold) take the document-at-a-time WAND path; everything
-// else scans term-at-a-time — into the flat accumulator, or into the
-// sparse one when the collection is too large to pool flat arrays for
+// bounded queries with enough scoring postings (wandThreshold) take
+// the document-at-a-time WAND path; everything else scans
+// term-at-a-time — into the flat accumulator, or into the sparse one
+// when the collection is too large to pool flat arrays for
 // (denseScoreRecords). All paths produce byte-identical rankings
 // (scores are summed in the same token order), which the differential
 // tests pin.
@@ -479,7 +448,7 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 	}
 	sc.terms = terms
 
-	if ix.pruned && maxCandidates > 0 && total >= wandThreshold(maxCandidates) {
+	if maxCandidates > 0 && total >= wandThreshold(maxCandidates) {
 		return ix.queryWAND(sc, maxCandidates, minScore, stopSkipped)
 	}
 
@@ -507,18 +476,6 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 		id, df := t.id, int(t.df)
 		scanned += uint64(df)
 		w := ix.idfWeight(id, n, df)
-		if !ix.compressed {
-			for _, pos := range ix.postsRaw[id] {
-				if sc.epoch[pos] != sc.cur {
-					sc.epoch[pos] = sc.cur
-					sc.scores[pos] = w
-					touched = append(touched, pos)
-				} else {
-					sc.scores[pos] += w
-				}
-			}
-			continue
-		}
 		if ix.snap == nil {
 			// Live list: one heap segment, decoded inline — the cursor's
 			// segment/block state machine costs more than these few
@@ -630,12 +587,7 @@ func (ix *Index) querySparse(sc *queryScratch, maxCandidates int, minScore float
 		id, df := t.id, int(t.df)
 		scanned += uint64(df)
 		w := ix.idfWeight(id, n, df)
-		switch {
-		case !ix.compressed:
-			for _, pos := range ix.postsRaw[id] {
-				acc[pos] += w
-			}
-		case ix.snap == nil:
+		if ix.snap == nil {
 			pl := &ix.posts[id]
 			pos, off := int32(-1), 0
 			for k := int32(0); k < pl.df; k++ {
@@ -644,12 +596,12 @@ func (ix *Index) querySparse(sc *queryScratch, maxCandidates int, minScore float
 				pos += int32(d)
 				acc[pos] += w
 			}
-		default:
-			c := &sc.cursor
-			ix.initCursor(c, id)
-			for c.next() {
-				acc[c.cur] += w
-			}
+			continue
+		}
+		c := &sc.cursor
+		ix.initCursor(c, id)
+		for c.next() {
+			acc[c.cur] += w
 		}
 	}
 

@@ -10,8 +10,8 @@ import (
 // TestIndex10M is the 10M-record scale measurement behind
 // BENCH_index10m.json: opt-in (BENCH_INDEX10M=1) because building ten
 // million synthetic records takes minutes and gigabytes of heap. It
-// builds the compressed index and the raw reference at scale, writes
-// the mmap snapshot, and pins the two headline claims:
+// builds the compressed index and the test-side raw baseline at scale,
+// writes the mmap snapshot, and pins the two headline claims:
 //
 //   - compressed postings take at most half the raw int32 bytes;
 //   - OpenMapped serves the 10M-record snapshot in under 100ms
@@ -34,7 +34,7 @@ func TestIndex10M(t *testing.T) {
 	t.Logf("compressed postings: %d bytes, %.2f B/record", compressedBytes, float64(compressedBytes)/n)
 
 	start = time.Now()
-	raw := BuildIndex(records, IndexOptions{Compression: CompressionNone})
+	raw := buildRawIndex(records, IndexOptions{})
 	t.Logf("build raw: %v", time.Since(start).Round(time.Millisecond))
 	rawBytes := raw.PostingsBytes()
 	t.Logf("raw postings: %d bytes, %.2f B/record (reduction %.2fx)",
@@ -49,7 +49,7 @@ func TestIndex10M(t *testing.T) {
 	for i := range queries {
 		queries[i] = records[(i*37)%n].Serialize()
 	}
-	measure := func(ix *Index) time.Duration {
+	measure := func(ix queryIndex) time.Duration {
 		const rounds = 20000
 		start := time.Now()
 		for i := 0; i < rounds; i++ {

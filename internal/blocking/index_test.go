@@ -20,7 +20,7 @@ func TestCandidatesIndexedMatchesRebuild(t *testing.T) {
 		right = append(right, p.B)
 	}
 	b := &TokenBlocker{MaxCandidates: 5}
-	ix := NewIndex(right, 0.2)
+	ix := BuildIndex(right, IndexOptions{})
 	rebuilt := b.Candidates(left, right)
 	reused := b.CandidatesIndexed(left, ix)
 	if !reflect.DeepEqual(rebuilt, reused) {
@@ -42,8 +42,8 @@ func TestIndexIncrementalAddMatchesBatchBuild(t *testing.T) {
 		recs = append(recs, rec(fmt.Sprintf("r%02d", i),
 			fmt.Sprintf("widget model%d common shared tokens", i)))
 	}
-	batch := NewIndex(recs, 0.2)
-	grown := NewIndex(nil, 0.2)
+	batch := BuildIndex(recs, IndexOptions{})
+	grown := BuildIndex(nil, IndexOptions{})
 	for _, r := range recs {
 		grown.Add(r)
 	}
@@ -62,7 +62,7 @@ func TestIndexIncrementalAddMatchesBatchBuild(t *testing.T) {
 // TestIndexStopTokensAdaptToGrowth: a token that is rare at first
 // becomes a stop token as the collection grows, without a rebuild.
 func TestIndexStopTokensAdaptToGrowth(t *testing.T) {
-	ix := NewIndex(nil, 0.2)
+	ix := BuildIndex(nil, IndexOptions{})
 	ix.Add(rec("a", "gadget alpha"))
 	ix.Add(rec("b", "gadget beta"))
 	if len(ix.Query("gadget", 0, 0)) != 2 {
@@ -83,11 +83,11 @@ func TestIndexStopTokensAdaptToGrowth(t *testing.T) {
 }
 
 func TestIndexQueryBounds(t *testing.T) {
-	ix := NewIndex([]entity.Record{
+	ix := BuildIndex([]entity.Record{
 		rec("a", "alpha beta"),
 		rec("b", "alpha beta gamma"),
 		rec("c", "alpha"),
-	}, 1) // no stop-token filtering
+	}, IndexOptions{StopDocFrac: Float(1)}) // no stop-token filtering
 	all := ix.Query("alpha beta gamma", 0, 0)
 	if len(all) != 3 {
 		t.Fatalf("unbounded query returned %d, want 3", len(all))
@@ -105,37 +105,27 @@ func TestIndexQueryBounds(t *testing.T) {
 	}
 }
 
-// TestExplicitZeroThresholds covers the zero-value config fix across
-// both API generations: the deprecated flat fields keep their sentinel
-// semantics (zero selects the default, ExplicitZero a literal zero),
-// the v1 Opts pointer fields express the same without a sentinel, and
-// a set Opts field wins over a deprecated one.
+// TestExplicitZeroThresholds covers the zero-value config contract:
+// nil Opts fields select the defaults, and Float(0) is taken as a
+// literal zero rather than "unset".
 func TestExplicitZeroThresholds(t *testing.T) {
 	b := &TokenBlocker{}
-	if got := b.minScore(); got != 1.0 {
+	if got := b.Opts.minScore(); got != 1.0 {
 		t.Errorf("zero-value MinScore resolves to %v, want default 1.0", got)
 	}
-	if got := b.indexOptions().stopDocFrac(); got != 0.2 {
+	if got := b.Opts.stopDocFrac(); got != 0.2 {
 		t.Errorf("zero-value StopDocFrac resolves to %v, want default 0.2", got)
 	}
-	explicit := &TokenBlocker{MinScore: ExplicitZero, StopDocFrac: ExplicitZero}
-	if got := explicit.minScore(); got != 0 {
-		t.Errorf("ExplicitZero MinScore resolves to %v, want 0", got)
-	}
-	if got := explicit.indexOptions().stopDocFrac(); got != 0 {
-		t.Errorf("ExplicitZero StopDocFrac resolves to %v, want 0", got)
-	}
-	v1 := &TokenBlocker{Opts: IndexOptions{MinScore: Float(0), StopDocFrac: Float(0)}}
-	if got := v1.minScore(); got != 0 {
+	zero := IndexOptions{MinScore: Float(0), StopDocFrac: Float(0)}
+	if got := zero.minScore(); got != 0 {
 		t.Errorf("Opts.MinScore Float(0) resolves to %v, want 0", got)
 	}
-	if got := v1.indexOptions().stopDocFrac(); got != 0 {
+	if got := zero.stopDocFrac(); got != 0 {
 		t.Errorf("Opts.StopDocFrac Float(0) resolves to %v, want 0", got)
 	}
-	// Precedence: a set Opts field wins over a deprecated flat one.
-	mixed := &TokenBlocker{Opts: IndexOptions{MinScore: Float(2.5)}, MinScore: ExplicitZero}
-	if got := mixed.minScore(); got != 2.5 {
-		t.Errorf("set Opts.MinScore resolves to %v, want 2.5 over the deprecated field", got)
+	neg := IndexOptions{MinScore: Float(-3), StopDocFrac: Float(-1)}.Resolved()
+	if *neg.MinScore != 0 || *neg.StopDocFrac != 0 {
+		t.Errorf("negative thresholds resolve to (%v, %v), want clamped to (0, 0)", *neg.MinScore, *neg.StopDocFrac)
 	}
 
 	// Behavioral check for MinScore: a weak-overlap candidate that the
@@ -151,7 +141,7 @@ func TestExplicitZeroThresholds(t *testing.T) {
 	if got := strict.Candidates(left, right); len(got) != 0 {
 		t.Errorf("default MinScore kept %d weak candidates", len(got))
 	}
-	loose := &TokenBlocker{MinScore: ExplicitZero}
+	loose := &TokenBlocker{Opts: IndexOptions{MinScore: Float(0)}}
 	if got := loose.Candidates(left, right); len(got) == 0 {
 		t.Error("explicit-zero MinScore still filtered weak candidates")
 	}
@@ -162,11 +152,11 @@ func TestExplicitZeroThresholds(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		recs = append(recs, rec(fmt.Sprintf("s%d", i), fmt.Sprintf("sharedtok filler%d", i)))
 	}
-	noStop := NewIndex(recs, 1) // filtering off
+	noStop := BuildIndex(recs, IndexOptions{StopDocFrac: Float(1)}) // filtering off
 	if got := noStop.Query("sharedtok", 0, 0); len(got) != 5 {
 		t.Fatalf("filter-off index matched %d", len(got))
 	}
-	zeroStop := NewIndex(recs, ExplicitZero)
+	zeroStop := BuildIndex(recs, IndexOptions{StopDocFrac: Float(0)})
 	if got := zeroStop.Query("sharedtok", 0, 0); len(got) != 0 {
 		t.Errorf("explicit-zero StopDocFrac still matched %d records via a frequent token", len(got))
 	}

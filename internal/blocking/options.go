@@ -1,12 +1,9 @@
 package blocking
 
-// IndexOptions is the v1 configuration of the blocking layer — the
-// Index constructor (BuildIndex) and the TokenBlocker both consume it.
-// It replaces the positional NewIndex(records, stopFrac) constructor
-// and the ExplicitZero = -1 sentinel: thresholds whose zero value used
-// to be ambiguous ("default or literal zero?") are now explicit
-// *float64 fields, where nil selects the package default and a set
-// pointer — including Float(0) — is taken literally.
+// IndexOptions is the configuration of the blocking layer — the Index
+// constructors (BuildIndex, OpenMapped) and the TokenBlocker all
+// consume it. Thresholds are *float64 fields: nil selects the package
+// default and a set pointer — including Float(0) — is taken literally.
 type IndexOptions struct {
 	// MinScore is the minimum summed IDF weight for a candidate. Only
 	// the TokenBlocker applies it (Index.Query takes the floor per
@@ -19,10 +16,6 @@ type IndexOptions struct {
 	// default 0.2; Float(0) treats every token above the absolute
 	// floor as a stop token; values >= 1 disable the filter.
 	StopDocFrac *float64
-	// Compression selects the postings representation.
-	Compression Compression
-	// Pruning selects the top-K scoring strategy.
-	Pruning Pruning
 }
 
 // Float returns a pointer to v — the set-flag form the explicit
@@ -30,54 +23,17 @@ type IndexOptions struct {
 // requests a literal zero where nil would select the default.
 func Float(v float64) *float64 { return &v }
 
-// Compression selects how an Index stores its postings.
-type Compression int
-
-const (
-	// CompressionAuto selects the package default, CompressionVarint.
-	CompressionAuto Compression = iota
-	// CompressionVarint stores each token's ascending record positions
-	// delta-encoded as uvarints in sealed blocks of postingBlock
-	// entries, each sealed block carrying skip metadata (last position
-	// + end offset). Roughly 2 bytes per posting on dense collections
-	// against 4 for raw int32, append-friendly, and the only
-	// representation the mmap snapshot path (WriteSnapshot/OpenMapped)
-	// supports.
-	CompressionVarint
-	// CompressionNone keeps the pre-v1 raw []int32 posting slices. It
-	// exists as the reference implementation for differential tests
-	// and benchmarks; indexes built with it cannot be snapshotted into
-	// the mmap format's compressed form any faster, but WriteSnapshot
-	// still encodes them.
-	CompressionNone
-)
-
-// Pruning selects how bounded (top-K) queries are scored.
-type Pruning int
-
-const (
-	// PruningAuto selects PruningBlockMax when the postings are
-	// compressed and the query is bounded, PruningOff otherwise.
-	PruningAuto Pruning = iota
-	// PruningBlockMax scores bounded queries document-at-a-time with
-	// WAND-style pruning over the sealed-block skip metadata: posting
-	// blocks whose maximum possible contribution cannot reach the
-	// current heap floor (or the query's score floor) are skipped
-	// without decoding. Rankings are byte-identical to the exhaustive
-	// scan — scores are summed in the same token order — which the
-	// differential tests pin. Requires CompressionVarint.
-	PruningBlockMax
-	// PruningOff scores every posting of every query token
-	// term-at-a-time into the flat accumulator — the exhaustive
-	// reference path.
-	PruningOff
-)
-
 // Defaults the explicit threshold fields select when nil.
 const (
 	DefaultMinScore    = 1.0
 	DefaultStopDocFrac = 0.2
 )
+
+// Resolved returns the options with both thresholds set: nil fields
+// take the package defaults and negative values clamp to zero.
+func (o IndexOptions) Resolved() IndexOptions {
+	return IndexOptions{MinScore: Float(o.minScore()), StopDocFrac: Float(o.stopDocFrac())}
+}
 
 // minScore resolves the explicit field against its default.
 func (o IndexOptions) minScore() float64 {
@@ -99,18 +55,4 @@ func (o IndexOptions) stopDocFrac() float64 {
 		return 0
 	}
 	return *o.StopDocFrac
-}
-
-// compressed reports whether the options select varint postings.
-func (o IndexOptions) compressed() bool { return o.Compression != CompressionNone }
-
-// pruned reports whether bounded queries should use the block-max
-// path. Pruning requires the compressed representation; PruningAuto
-// resolves accordingly and an explicit PruningBlockMax over
-// CompressionNone degrades to the exhaustive scan.
-func (o IndexOptions) pruned() bool {
-	if !o.compressed() {
-		return false
-	}
-	return o.Pruning == PruningAuto || o.Pruning == PruningBlockMax
 }

@@ -149,6 +149,15 @@ func (c *plCursor) blockEntries(s *segView, i int) int {
 
 // next advances to the following posting. Returns false when the
 // cursor is exhausted.
+//
+// Mapped streams are not decoded at open (that would cost a replay),
+// so a damaged one can run out of bytes early or hold a delta that
+// does not advance within the segment's (base, lastPos] span. Either
+// ends the cursor: every position it yields stays inside the span,
+// which OpenMapped bounds by the record count, so scoring can index
+// per-record scratch with it safely. OpenMapped also checks that each
+// stream's last byte ends a uvarint, so a decode that starts inside
+// the stream cannot read past it.
 func (c *plCursor) next() bool {
 	for {
 		if c.done {
@@ -160,7 +169,15 @@ func (c *plCursor) next() bool {
 				c.blk++
 				c.brem = c.blockEntries(s, c.blk)
 			}
+			if c.off >= len(s.stream) {
+				c.done = true
+				return false
+			}
 			d, n := uvarint(s.stream, c.off)
+			if d-1 >= uint64(s.lastPos-c.cur) {
+				c.done = true
+				return false
+			}
 			c.off += n
 			c.cur += int32(d)
 			c.idx++

@@ -46,14 +46,15 @@ import (
 // The writer goes to a temp file and renames into place, so a torn
 // write never shadows a good snapshot; validation at open is the O(1)
 // header pass (magic, version, header CRC, section-size consistency)
-// plus one structural sweep of the token table's per-entry offsets,
+// plus one structural sweep of the token table and block metadata,
 // so damaged data pages (bit rot past the rename's atomicity) that
-// would send tokenSeg out of range surface as ErrSnapshotTorn at
-// open — where callers can rebuild — not as a panic at query time.
-// The hash tables and the record index are range-clamped at each
-// probe/decode instead of swept (keeping the open O(nTokens), which
-// the restart benchmarks gate); only the varint stream bytes stay
-// trusted — validating them would mean decoding every posting, the
+// would send tokenSeg or a cursor out of range surface as
+// ErrSnapshotTorn at open — where callers can rebuild — not as a
+// panic at query time. The hash tables and the record index are
+// range-clamped at each probe/decode instead of swept (keeping the
+// open O(nTokens + nBlocks), which the restart benchmarks gate), and
+// the varint stream bytes are checked as the cursor decodes them —
+// validating them up front would mean decoding every posting, the
 // replay cost the format exists to avoid.
 
 // MmapSupported reports whether this platform can serve index
@@ -161,10 +162,11 @@ func (m *mappedIndex) tokenSeg(id uint32) segView {
 // lookup probes the mapped token hash for a token given as bytes. A
 // slot whose value exceeds the token count is data rot (the hash
 // pages are not CRC-covered) and reads as a miss rather than indexing
-// the token table out of range.
+// the token table out of range; so does a table rotted full, once
+// every slot has been probed.
 func (m *mappedIndex) lookup(tok []byte) (uint32, bool) {
 	i := uint32(fnv64(tok)) & m.hashMask
-	for {
+	for probe := uint32(0); probe <= m.hashMask; probe++ {
 		v := binary.LittleEndian.Uint32(m.tokHash[i*4:])
 		if v == 0 || v > m.nTokens {
 			return 0, false
@@ -174,12 +176,13 @@ func (m *mappedIndex) lookup(tok []byte) (uint32, bool) {
 		}
 		i = (i + 1) & m.hashMask
 	}
+	return 0, false
 }
 
 // lookupString is lookup for a string token, allocation-free.
 func (m *mappedIndex) lookupString(tok string) (uint32, bool) {
 	i := uint32(fnv64String(tok)) & m.hashMask
-	for {
+	for probe := uint32(0); probe <= m.hashMask; probe++ {
 		v := binary.LittleEndian.Uint32(m.tokHash[i*4:])
 		if v == 0 || v > m.nTokens {
 			return 0, false
@@ -189,6 +192,7 @@ func (m *mappedIndex) lookupString(tok string) (uint32, bool) {
 		}
 		i = (i + 1) & m.hashMask
 	}
+	return 0, false
 }
 
 // record decodes the record at a mapped position. Field strings are
@@ -242,10 +246,11 @@ func (m *mappedIndex) recordID(pos int) []byte {
 // recordPos probes the mapped record-ID hash. With duplicate IDs in
 // the snapshotted collection (legal for a bare Index; the resolve
 // store never produces them) the lowest position wins. A slot value
-// past the record count is data rot and reads as a miss.
+// past the record count, or a table rotted full, is data rot and
+// reads as a miss.
 func (m *mappedIndex) recordPos(id string) (int32, bool) {
 	i := uint32(fnv64String(id)) & m.recMask
-	for {
+	for probe := uint32(0); probe <= m.recMask; probe++ {
 		v := binary.LittleEndian.Uint32(m.recHash[i*4:])
 		if v == 0 || v > m.nRecords {
 			return 0, false
@@ -255,6 +260,7 @@ func (m *mappedIndex) recordPos(id string) (int32, bool) {
 		}
 		i = (i + 1) & m.recMask
 	}
+	return 0, false
 }
 
 // readLenPrefixed decodes one uvarint-framed string. A frame the
@@ -310,43 +316,33 @@ func (ix *Index) tokenOf(id uint32) string {
 
 // postingsForWrite produces one token's full posting stream and block
 // metadata (little-endian 8-byte entries) for the snapshot writer.
-// Fresh compressed lists and untouched mapped segments are returned
-// verbatim; overlay extensions of mapped tokens are re-encoded through
-// a cursor so sealed-block boundaries stay aligned to postingBlock
-// entries; CompressionNone postings are varint-encoded here (the
-// snapshot format is always compressed).
+// Fresh lists and untouched mapped segments are returned verbatim;
+// overlay extensions of mapped tokens are re-encoded through a cursor
+// so sealed-block boundaries stay aligned to postingBlock entries.
 func (ix *Index) postingsForWrite(id uint32) (stream, meta []byte, df uint32, lastPos int32) {
-	switch {
-	case !ix.compressed:
-		var pl postingList
-		for _, pos := range ix.postsRaw[id] {
-			pl.add(pos, -1)
-		}
-		return pl.stream, plMetaLE(&pl), uint32(pl.df), pl.lastPos
-	case ix.snap == nil:
+	if ix.snap == nil {
 		pl := &ix.posts[id]
 		return pl.stream, plMetaLE(pl), uint32(pl.df), pl.lastPos
-	default:
-		base := id < ix.snap.nTokens && ix.snap.tokenDF(id) > 0
-		ov := ix.overlay[id]
-		if ov == nil || ov.df == 0 {
-			if !base {
-				return nil, nil, 0, -1
-			}
-			seg := ix.snap.tokenSeg(id)
-			return seg.stream, seg.metaLE, uint32(seg.count), seg.lastPos
-		}
-		if !base {
-			return ov.stream, plMetaLE(ov), uint32(ov.df), ov.lastPos
-		}
-		var c plCursor
-		ix.initCursor(&c, id)
-		var pl postingList
-		for c.next() {
-			pl.add(c.cur, -1)
-		}
-		return pl.stream, plMetaLE(&pl), uint32(pl.df), pl.lastPos
 	}
+	base := id < ix.snap.nTokens && ix.snap.tokenDF(id) > 0
+	ov := ix.overlay[id]
+	if ov == nil || ov.df == 0 {
+		if !base {
+			return nil, nil, 0, -1
+		}
+		seg := ix.snap.tokenSeg(id)
+		return seg.stream, seg.metaLE, uint32(seg.count), seg.lastPos
+	}
+	if !base {
+		return ov.stream, plMetaLE(ov), uint32(ov.df), ov.lastPos
+	}
+	var c plCursor
+	ix.initCursor(&c, id)
+	var pl postingList
+	for c.next() {
+		pl.add(c.cur, -1)
+	}
+	return pl.stream, plMetaLE(&pl), uint32(pl.df), pl.lastPos
 }
 
 // plMetaLE converts a live list's block metadata to the wire encoding.
@@ -361,10 +357,8 @@ func plMetaLE(p *postingList) []byte {
 
 // WriteSnapshot writes the index to path in the EMIX mmap format,
 // atomically (temp file + rename). The written file reopens with
-// OpenMapped regardless of this index's storage mode — raw
-// (CompressionNone) postings are varint-encoded on the way out, and a
-// mapped index with overlay appends merges them back into single
-// streams.
+// OpenMapped regardless of this index's storage mode: a mapped index
+// with overlay appends merges them back into single streams.
 func (ix *Index) WriteSnapshot(path string) (err error) {
 	nTok := int(ix.snapTokens()) + ix.vocab.Len()
 	n := ix.Len()
@@ -597,15 +591,13 @@ func syncDir(dir string) error {
 // OpenMapped opens an EMIX snapshot written by WriteSnapshot, serving
 // postings, token table and records straight out of the mmap'ed file —
 // no ingest replay, no IDF precomputation (weights materialize lazily
-// per token on first use). Validation is O(1): magic, version, header
-// CRC and section-size consistency; ErrSnapshotVersion and
+// per token on first use). Validation is the header (magic, version,
+// CRC, section sizes) plus one sweep of the token table and block
+// metadata, never the postings themselves; ErrSnapshotVersion and
 // ErrSnapshotTorn (both wrapped with detail) tell callers to rebuild
 // instead. The returned index accepts Add — post-open records live on
 // the heap as extensions chained onto the mapped streams — and must be
 // Closed to release the mapping.
-//
-// The Compression option is ignored: a mapped index always serves the
-// compressed representation. Pruning applies as for BuildIndex.
 func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -629,14 +621,12 @@ func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{
-		stopFrac:   opts.stopDocFrac(),
-		compressed: true,
-		pruned:     opts.Pruning == PruningAuto || opts.Pruning == PruningBlockMax,
-		vocab:      tokenize.NewVocab(),
-		snap:       m,
-		overlay:    map[uint32]*postingList{},
-		idfBits:    make([]uint64, m.nTokens),
-		idfAtN:     make([]uint64, m.nTokens),
+		stopFrac: opts.stopDocFrac(),
+		vocab:    tokenize.NewVocab(),
+		snap:     m,
+		overlay:  map[uint32]*postingList{},
+		idfBits:  make([]uint64, m.nTokens),
+		idfAtN:   make([]uint64, m.nTokens),
 	}
 	ix.scratch.New = func() any { return &queryScratch{} }
 	return ix, nil
@@ -696,18 +686,25 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 	// rename's atomicity) would otherwise slice the map out of range in
 	// tokenSeg at query time — a panic inside serving, where no
 	// fallback exists, instead of a typed error here where callers
-	// rebuild. One 36-bytes-per-token pass keeps the open fast (the
-	// restart benchmarks gate it); the hash tables and the record index
-	// are instead range-clamped at each probe/decode — a branch per
-	// access, not a scan per open — and the varint stream bytes
-	// themselves stay trusted: validating them would mean decoding
-	// every posting, the replay cost the format exists to avoid.
+	// rebuild. One 36-bytes-per-token pass plus 8 bytes per sealed
+	// block keeps the open fast (the restart benchmarks gate it): it
+	// bounds every document frequency and every last position — the
+	// token's and each block's — by the record count, which is what
+	// lets the cursor (postings.go) keep decoded positions in range.
+	// The hash tables and the record index are instead range-clamped
+	// at each probe/decode — a branch per access, not a scan per open
+	// — and the varint stream bytes are checked as the cursor decodes
+	// them: validating them here would mean decoding every posting,
+	// the replay cost the format exists to avoid.
 	postSecLen := uint64(len(sec[secPostings]))
 	tokSecLen := uint64(len(sec[secTokenBytes]))
+	meta := sec[secBlockMeta]
 	for id, tab := uint64(0), sec[secTokenTable]; id < nTokens; id, tab = id+1, tab[tokEntrySize:] {
 		e := tab[:tokEntrySize]
 		postOff := binary.LittleEndian.Uint64(e[0:8])
 		postLen := uint64(binary.LittleEndian.Uint32(e[8:12]))
+		df := uint64(binary.LittleEndian.Uint32(e[12:16]))
+		lastPos := uint64(binary.LittleEndian.Uint32(e[16:20]))
 		blockOff := uint64(binary.LittleEndian.Uint32(e[20:24]))
 		tokBlocks := uint64(binary.LittleEndian.Uint32(e[24:28]))
 		tokOff := uint64(binary.LittleEndian.Uint32(e[28:32]))
@@ -719,6 +716,15 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 			return nil, fmt.Errorf("%w: token %d blocks [%d:+%d] outside the %d-block metadata", ErrSnapshotTorn, id, blockOff, tokBlocks, nBlocks)
 		case tokOff > tokSecLen || tokLen > tokSecLen-tokOff:
 			return nil, fmt.Errorf("%w: token %d bytes [%d:+%d] outside the %d-byte section", ErrSnapshotTorn, id, tokOff, tokLen, tokSecLen)
+		case df > nRecords || tokBlocks != df/postingBlock || (df > 0 && lastPos >= nRecords):
+			return nil, fmt.Errorf("%w: token %d holds %d postings in %d blocks ending at %d, over %d records", ErrSnapshotTorn, id, df, tokBlocks, lastPos, nRecords)
+		case postLen > 0 && sec[secPostings][postOff+postLen-1] >= 0x80:
+			return nil, fmt.Errorf("%w: token %d postings end inside a uvarint", ErrSnapshotTorn, id)
+		}
+		for b := meta[blockOff*8 : (blockOff+tokBlocks)*8]; len(b) > 0; b = b[8:] {
+			if last, end := uint64(binary.LittleEndian.Uint32(b)), uint64(binary.LittleEndian.Uint32(b[4:])); last > lastPos || end > postLen {
+				return nil, fmt.Errorf("%w: token %d block ends at position %d, offset %d, past %d / %d", ErrSnapshotTorn, id, last, end, lastPos, postLen)
+			}
 		}
 	}
 	return &mappedIndex{
@@ -779,27 +785,17 @@ func (ix *Index) RecordID(pos int) string {
 
 // PostingsBytes reports the bytes the posting lists occupy, skip
 // metadata included — the numerator of the bytes-per-record benchmark
-// the snapshot format is sized by. For CompressionNone it is the raw
-// int32 footprint.
+// the snapshot format is sized by.
 func (ix *Index) PostingsBytes() int {
-	switch {
-	case !ix.compressed:
-		total := 0
-		for _, p := range ix.postsRaw {
-			total += 4 * len(p)
-		}
-		return total
-	case ix.snap == nil:
-		total := 0
-		for i := range ix.posts {
-			total += len(ix.posts[i].stream) + 8*len(ix.posts[i].last)
-		}
-		return total
-	default:
-		total := len(ix.snap.posts) + len(ix.snap.meta)
-		for _, p := range ix.overlay {
-			total += len(p.stream) + 8*len(p.last)
-		}
-		return total
+	total := 0
+	if ix.snap != nil {
+		total = len(ix.snap.posts) + len(ix.snap.meta)
 	}
+	for i := range ix.posts {
+		total += len(ix.posts[i].stream) + 8*len(ix.posts[i].last)
+	}
+	for _, p := range ix.overlay {
+		total += len(p.stream) + 8*len(p.last)
+	}
+	return total
 }

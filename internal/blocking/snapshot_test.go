@@ -14,18 +14,18 @@ import (
 )
 
 // writeTestSnapshot writes ix to a temp EMIX file and returns its path.
-func writeTestSnapshot(t *testing.T, ix *Index) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "index.emx")
+func writeTestSnapshot(tb testing.TB, ix *Index) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "index.emx")
 	if err := ix.WriteSnapshot(path); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+		tb.Fatalf("WriteSnapshot: %v", err)
 	}
 	return path
 }
 
 // queryBoth runs the same query workload against two indexes and
 // fails on any ranking divergence (order AND scores).
-func queryBoth(t *testing.T, label string, got, want *Index, queries []string) {
+func queryBoth(t *testing.T, label string, got, want queryIndex, queries []string) {
 	t.Helper()
 	for _, text := range queries {
 		for _, maxC := range []int{0, 1, 5, 1000} {
@@ -45,21 +45,20 @@ func queryBoth(t *testing.T, label string, got, want *Index, queries []string) {
 
 // TestCompressedPrunedMatchesReferenceScan is the core differential
 // pin of this layer: the varint+block-max engine must rank
-// byte-identically to the CompressionNone exhaustive scan — the
-// pre-compression representation — across randomized workloads big
-// enough to seal posting blocks (df >> postingBlock) and exercise
-// block skipping, tie-heavy scoring, score floors and stop tokens.
+// byte-identically to the exhaustive scan over raw postings — the
+// pre-compression representation, kept as the test-side rawIndex —
+// across randomized workloads big enough to seal posting blocks
+// (df >> postingBlock) and exercise block skipping, tie-heavy scoring,
+// score floors and stop tokens.
 func TestCompressedPrunedMatchesReferenceScan(t *testing.T) {
 	rng := detrand.New("compressed-differential")
 	for round := 0; round < 6; round++ {
 		n := []int{30, 300, 1200}[rng.Intn(3)]
 		recs := randomRecords(rng, n)
 		stopFrac := []float64{0, 0.2, 0.5, 1}[rng.Intn(4)]
-		pruned := BuildIndex(recs, IndexOptions{StopDocFrac: Float(stopFrac)})
-		reference := BuildIndex(recs, IndexOptions{
-			StopDocFrac: Float(stopFrac),
-			Compression: CompressionNone,
-		})
+		opts := IndexOptions{StopDocFrac: Float(stopFrac)}
+		pruned := BuildIndex(recs, opts)
+		reference := buildRawIndex(recs, opts)
 		var queries []string
 		for q := 0; q < 10; q++ {
 			queries = append(queries, recs[rng.Intn(n)].Serialize()+" "+recs[rng.Intn(n)].Serialize())
@@ -71,13 +70,12 @@ func TestCompressedPrunedMatchesReferenceScan(t *testing.T) {
 
 // TestSnapshotRoundTrip pins that an index reopened from its mmap
 // snapshot ranks byte-identically to the live index it was written
-// from, for both compressed and CompressionNone sources (the writer
-// always emits the compressed wire format).
+// from, over two independently drawn collections.
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := detrand.New("snapshot-roundtrip")
-	for _, comp := range []Compression{CompressionAuto, CompressionNone} {
+	for round := 0; round < 2; round++ {
 		recs := randomRecords(rng, 700)
-		live := BuildIndex(recs, IndexOptions{Compression: comp})
+		live := BuildIndex(recs, IndexOptions{})
 		path := writeTestSnapshot(t, live)
 		mapped, err := OpenMapped(path, IndexOptions{})
 		if err != nil {
@@ -303,7 +301,7 @@ func TestCursorSeek(t *testing.T) {
 func TestPostingsBytesCompression(t *testing.T) {
 	recs := syntheticRecords(20000)
 	compressed := BuildIndex(recs, IndexOptions{})
-	raw := BuildIndex(recs, IndexOptions{Compression: CompressionNone})
+	raw := buildRawIndex(recs, IndexOptions{})
 	c, r := compressed.PostingsBytes(), raw.PostingsBytes()
 	if c*2 > r {
 		t.Fatalf("compressed postings = %d bytes, raw = %d; want >= 2x reduction", c, r)
@@ -327,8 +325,6 @@ func TestSnapshotCorruptEntriesTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secOff := func(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[40+i*16:]) }
-	secLen := func(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[40+i*16+8:]) }
 	corrupt := func(t *testing.T, name string, f func(b []byte)) string {
 		t.Helper()
 		p := filepath.Join(t.TempDir(), name+".emx")
@@ -341,21 +337,7 @@ func TestSnapshotCorruptEntriesTyped(t *testing.T) {
 	}
 
 	// Tier 1: token-table damage fails the open-time sweep.
-	torn := map[string]func(b []byte){
-		"token-postings-offset": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[secOff(b, secTokenTable):], 1<<60)
-		},
-		"token-postings-length": func(b []byte) {
-			binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+8:], 1<<31)
-		},
-		"token-block-range": func(b []byte) {
-			binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+24:], 1<<30)
-		},
-		"token-bytes-range": func(b []byte) {
-			binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+28:], 1<<31)
-		},
-	}
-	for name, f := range torn {
+	for name, f := range tornEntryCorruptions {
 		p := corrupt(t, name, f)
 		_, err := OpenMapped(p, IndexOptions{})
 		if !errors.Is(err, ErrSnapshotTorn) {
@@ -366,24 +348,7 @@ func TestSnapshotCorruptEntriesTyped(t *testing.T) {
 	// Tier 2: hash-table and record-index damage opens fine and is
 	// clamped per access — every corrupted slot in the file is hit by
 	// exercising all records and queries, and none may panic.
-	degrade := map[string]func(b []byte){
-		"token-hash-entries": func(b []byte) {
-			off, end := secOff(b, secTokenHash), secOff(b, secTokenHash)+secLen(b, secTokenHash)
-			for o := off; o+4 <= end; o += 4 {
-				binary.LittleEndian.PutUint32(b[o:], 1<<31)
-			}
-		},
-		"record-hash-entries": func(b []byte) {
-			off, end := secOff(b, secRecordHash), secOff(b, secRecordHash)+secLen(b, secRecordHash)
-			for o := off; o+4 <= end; o += 4 {
-				binary.LittleEndian.PutUint32(b[o:], 1<<31)
-			}
-		},
-		"record-index-monotonicity": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[secOff(b, secRecordIndex):], 1<<60)
-		},
-	}
-	for name, f := range degrade {
+	for name, f := range degradingCorruptions {
 		p := corrupt(t, name, f)
 		ix, err := OpenMapped(p, IndexOptions{})
 		if err != nil {
@@ -403,4 +368,52 @@ func TestSnapshotCorruptEntriesTyped(t *testing.T) {
 			t.Fatalf("%s: Close: %v", name, err)
 		}
 	}
+}
+
+// secOff and secLen read section i's offset and length out of an EMIX
+// header.
+func secOff(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[40+i*16:]) }
+func secLen(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[40+i*16+8:]) }
+
+// tornEntryCorruptions damage token-table entries under an intact
+// header CRC; OpenMapped must refuse each with ErrSnapshotTorn.
+var tornEntryCorruptions = map[string]func(b []byte){
+	"token-postings-offset": func(b []byte) {
+		binary.LittleEndian.PutUint64(b[secOff(b, secTokenTable):], 1<<60)
+	},
+	"token-postings-length": func(b []byte) {
+		binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+8:], 1<<31)
+	},
+	"token-block-range": func(b []byte) {
+		binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+24:], 1<<30)
+	},
+	"token-bytes-range": func(b []byte) {
+		binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+28:], 1<<31)
+	},
+	"token-doc-frequency": func(b []byte) {
+		binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+12:], 1<<31)
+	},
+	"token-last-position": func(b []byte) {
+		binary.LittleEndian.PutUint32(b[secOff(b, secTokenTable)+16:], 1<<30)
+	},
+}
+
+// degradingCorruptions damage the hash tables and the record index,
+// which OpenMapped accepts and clamps at each access.
+var degradingCorruptions = map[string]func(b []byte){
+	"token-hash-entries": func(b []byte) {
+		off, end := secOff(b, secTokenHash), secOff(b, secTokenHash)+secLen(b, secTokenHash)
+		for o := off; o+4 <= end; o += 4 {
+			binary.LittleEndian.PutUint32(b[o:], 1<<31)
+		}
+	},
+	"record-hash-entries": func(b []byte) {
+		off, end := secOff(b, secRecordHash), secOff(b, secRecordHash)+secLen(b, secRecordHash)
+		for o := off; o+4 <= end; o += 4 {
+			binary.LittleEndian.PutUint32(b[o:], 1<<31)
+		}
+	},
+	"record-index-monotonicity": func(b []byte) {
+		binary.LittleEndian.PutUint64(b[secOff(b, secRecordIndex):], 1<<60)
+	},
 }

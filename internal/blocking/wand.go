@@ -50,7 +50,9 @@ func (ix *Index) queryWAND(sc *queryScratch, maxCandidates int, minScore float64
 
 	order := sc.order[:0]
 	for i := range cursors {
-		order = append(order, int32(i))
+		if !cursors[i].done { // a damaged mapped stream can end at once
+			order = append(order, int32(i))
+		}
 	}
 	h := sc.heap[:0]
 

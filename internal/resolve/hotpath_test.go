@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -43,12 +44,15 @@ func decisionsKey(r Result) []string {
 // produce byte-identical rankings — same candidates, same order, same
 // scores, including cross-shard ties — as the serial path, which the
 // blocking differential test in turn pins to the old sort-based
-// implementation.
+// implementation. fanoutRecords is switched around each call so the
+// two stores take opposite sides of the cutover.
 func TestParallelFanoutMatchesSerial(t *testing.T) {
+	old := fanoutRecords
+	defer func() { fanoutRecords = old }()
 	rng := detrand.New("resolve-hotpath")
-	serial, recs := hotpathStore(t, rng, 300, Options{FanoutRecords: -1})
+	serial, recs := hotpathStore(t, rng, 300, Options{})
 	rng2 := detrand.New("resolve-hotpath")
-	parallel, _ := hotpathStore(t, rng2, 300, Options{FanoutRecords: 1})
+	parallel, _ := hotpathStore(t, rng2, 300, Options{})
 
 	for q := 0; q < 60; q++ {
 		base := recs[rng.Intn(len(recs))]
@@ -56,10 +60,12 @@ func TestParallelFanoutMatchesSerial(t *testing.T) {
 			ID:    fmt.Sprintf("q%04d", q),
 			Attrs: []entity.Attr{{Name: "title", Value: base.Attrs[0].Value + " extra"}},
 		}
+		fanoutRecords = math.MaxInt
 		rs, err := serial.Resolve(query)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fanoutRecords = 1
 		rp, err := parallel.Resolve(query)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +100,7 @@ func TestMergeMatchesSortReference(t *testing.T) {
 		var ref []flat
 		for _, sh := range s.shards {
 			sh.mu.RLock()
-			for _, c := range sh.ix.Query(text, s.opts.MaxCandidates, s.opts.MinScore) {
+			for _, c := range sh.ix.Query(text, s.opts.MaxCandidates, *s.opts.Blocking.MinScore) {
 				r := sh.ix.Record(c.Pos)
 				if r.ID == qid {
 					continue

@@ -337,35 +337,40 @@ func TestDeferExtractionPersistent(t *testing.T) {
 	}
 }
 
-// TestBlockingOptionsPrecedence pins the v1 Options.Blocking wiring: a
-// set pointer field wins over the flat sentinel fields, and the
-// sentinel encoding still resolves for old callers.
+// TestBlockingOptionsPrecedence pins the Options.Blocking wiring: nil
+// (or a nil field) selects the blocking defaults, a set field —
+// blocking.Float(0) included — is taken literally, negatives clamp to
+// zero, and resolving never writes through the caller's pointer.
 func TestBlockingOptionsPrecedence(t *testing.T) {
 	cases := []struct {
 		name            string
 		opts            Options
 		minScore, dfrac float64
 	}{
-		{"defaults", Options{}, DefaultMinScore, DefaultStopDocFrac},
-		{"flat-sentinels", Options{MinScore: -1, StopDocFrac: -1}, 0, 0},
+		{"defaults", Options{}, DefaultMinScore, blocking.DefaultStopDocFrac},
+		{"partial", Options{Blocking: &blocking.IndexOptions{MinScore: blocking.Float(3)}}, 3, blocking.DefaultStopDocFrac},
 		{"blocking-explicit-zero", Options{
-			MinScore: 3, StopDocFrac: 0.9,
 			Blocking: &blocking.IndexOptions{MinScore: blocking.Float(0), StopDocFrac: blocking.Float(0)},
+		}, 0, 0},
+		{"blocking-negative", Options{
+			Blocking: &blocking.IndexOptions{MinScore: blocking.Float(-1), StopDocFrac: blocking.Float(-1)},
 		}, 0, 0},
 		{"blocking-values", Options{
 			Blocking: &blocking.IndexOptions{MinScore: blocking.Float(2.5), StopDocFrac: blocking.Float(0.4)},
 		}, 2.5, 0.4},
 	}
 	for _, tc := range cases {
-		o := tc.opts.withDefaults()
-		if o.MinScore != tc.minScore || o.StopDocFrac != tc.dfrac {
-			t.Errorf("%s: resolved (MinScore=%v, StopDocFrac=%v), want (%v, %v)",
-				tc.name, o.MinScore, o.StopDocFrac, tc.minScore, tc.dfrac)
+		var before blocking.IndexOptions
+		if tc.opts.Blocking != nil {
+			before = *tc.opts.Blocking
 		}
-		b := o.blockingOptions()
+		b := *tc.opts.withDefaults().Blocking
 		if *b.MinScore != tc.minScore || *b.StopDocFrac != tc.dfrac {
-			t.Errorf("%s: blockingOptions (MinScore=%v, StopDocFrac=%v), want (%v, %v)",
+			t.Errorf("%s: resolved (MinScore=%v, StopDocFrac=%v), want (%v, %v)",
 				tc.name, *b.MinScore, *b.StopDocFrac, tc.minScore, tc.dfrac)
+		}
+		if tc.opts.Blocking != nil && *tc.opts.Blocking != before {
+			t.Errorf("%s: withDefaults wrote through the caller's Blocking options", tc.name)
 		}
 	}
 }

@@ -52,20 +52,13 @@ import (
 const (
 	DefaultShards        = 8
 	DefaultMaxCandidates = 10
-	DefaultMinScore      = 1.0
-	DefaultStopDocFrac   = 0.2
-	DefaultDesign        = "domain-complex-force"
+	// DefaultMinScore is the blocking score floor a nil
+	// Options.Blocking.MinScore selects.
+	DefaultMinScore = blocking.DefaultMinScore
+	DefaultDesign   = "domain-complex-force"
 	// DefaultSnapshotEvery is the WAL-append count between automatic
 	// snapshot+compaction runs of a persistent store.
 	DefaultSnapshotEvery = 4096
-	// DefaultFanoutRecords is the stored-record count above which
-	// Resolve queries the index shards from parallel goroutines. Shard
-	// queries cost single-digit microseconds on small stores, where
-	// the goroutine handoff would dominate; the default engages the
-	// fanout only once per-shard work is large enough to amortize it.
-	// Tune per deployment: lower it on many-core serving hosts, raise
-	// it (or disable with a negative value) on small ones.
-	DefaultFanoutRecords = 1 << 20
 	// DefaultDispatchFlush is the longest an uncertain pair waits for
 	// batch-mates before the micro-batching dispatcher flushes a
 	// partial batch (only meaningful with Options.DispatchPairs > 0).
@@ -73,27 +66,18 @@ const (
 )
 
 // Options configures a Store. The zero value selects sensible
-// defaults throughout; negative MinScore/StopDocFrac request literal
-// zeros, and Blocking exposes the index layer's explicit v1 option
-// fields for callers that want to say so without a sentinel.
+// defaults throughout.
 type Options struct {
 	// Shards is the number of index shards (default DefaultShards).
 	Shards int
 	// MaxCandidates bounds the candidate pairs per Resolve call
 	// (default DefaultMaxCandidates).
 	MaxCandidates int
-	// MinScore is the minimum summed IDF blocking score (default
-	// DefaultMinScore; negative means zero).
-	MinScore float64
-	// StopDocFrac is the stop-token document-frequency fraction of the
-	// shard indexes (default DefaultStopDocFrac; negative means zero).
-	StopDocFrac float64
-	// Blocking configures the shard indexes with the blocking layer's
-	// v1 options: the Compression and Pruning representation knobs plus
-	// explicit MinScore/StopDocFrac pointer fields, which — when set —
-	// win over the flat fields above (blocking.Float(0) expresses a
-	// literal zero without the negative sentinel). Nil keeps the flat
-	// fields and the index defaults (compressed, block-max pruned).
+	// Blocking sets the blocking thresholds: MinScore is the minimum
+	// summed IDF score of a candidate, StopDocFrac the stop-token
+	// document-frequency fraction of the shard indexes. Nil, or a nil
+	// field, selects the blocking defaults; blocking.Float(0) is a
+	// literal zero.
 	Blocking *blocking.IndexOptions
 	// DeferExtraction skips per-record feature extraction at ingest:
 	// Add and AddBatch only serialize and index, and a record's
@@ -102,10 +86,6 @@ type Options struct {
 	// markedly cheaper; the first Resolve touching a cold record pays
 	// the extraction instead. Recovery replay honors it too.
 	DeferExtraction bool
-	// FanoutRecords is the stored-record count at which Resolve starts
-	// querying the shards in parallel (default DefaultFanoutRecords;
-	// negative keeps the fanout serial regardless of size).
-	FanoutRecords int
 	// Design is the prompt design for escalated pairs (zero value
 	// selects DefaultDesign).
 	Design prompt.Design
@@ -172,34 +152,13 @@ func (o Options) withDefaults() Options {
 	if o.MaxCandidates <= 0 {
 		o.MaxCandidates = DefaultMaxCandidates
 	}
-	// A set Blocking pointer field wins over its flat counterpart; the
-	// explicit values fold into the flat fields' sentinel encoding so
-	// the defaulting below resolves both generations identically.
-	if b := o.Blocking; b != nil {
-		if b.MinScore != nil {
-			if o.MinScore = *b.MinScore; o.MinScore <= 0 {
-				o.MinScore = -1
-			}
-		}
-		if b.StopDocFrac != nil {
-			if o.StopDocFrac = *b.StopDocFrac; o.StopDocFrac <= 0 {
-				o.StopDocFrac = -1
-			}
-		}
+	// A private resolved copy: the caller's struct is never written.
+	var b blocking.IndexOptions
+	if o.Blocking != nil {
+		b = *o.Blocking
 	}
-	if o.MinScore < 0 {
-		o.MinScore = 0
-	} else if o.MinScore == 0 {
-		o.MinScore = DefaultMinScore
-	}
-	if o.StopDocFrac < 0 {
-		o.StopDocFrac = 0
-	} else if o.StopDocFrac == 0 {
-		o.StopDocFrac = DefaultStopDocFrac
-	}
-	if o.FanoutRecords == 0 {
-		o.FanoutRecords = DefaultFanoutRecords
-	}
+	b = b.Resolved()
+	o.Blocking = &b
 	if o.Design.Name == "" {
 		o.Design, _ = prompt.DesignByName(DefaultDesign)
 	}
@@ -218,20 +177,6 @@ func (o Options) withDefaults() Options {
 		o.DispatchFlush = DefaultDispatchFlush
 	}
 	return o
-}
-
-// blockingOptions is the shard indexes' build configuration: the
-// caller's Blocking overrides with the resolved flat thresholds filled
-// in (withDefaults already folded the precedence between the two
-// generations of fields).
-func (o Options) blockingOptions() blocking.IndexOptions {
-	var b blocking.IndexOptions
-	if o.Blocking != nil {
-		b = *o.Blocking
-	}
-	b.MinScore = blocking.Float(o.MinScore)
-	b.StopDocFrac = blocking.Float(o.StopDocFrac)
-	return b
 }
 
 // Typed errors, for callers (e.g. the HTTP front end) that map
@@ -404,10 +349,18 @@ type resolveScratch struct {
 	perShard [][]scored
 }
 
+// fanoutRecords is the stored-record count from which Resolve queries
+// the index shards from parallel goroutines. Shard queries cost
+// single-digit microseconds on small stores, where the goroutine
+// handoff would dominate; the fanout engages only once per-shard work
+// is large enough to amortize it. A variable only so the differential
+// tests can force either side.
+var fanoutRecords = 1 << 20
+
 // blockCandidates fans the pre-tokenized query out to every shard and
 // merges the per-shard ranked lists into the global top
-// MaxCandidates. Above Options.FanoutRecords the fanout runs one
-// bounded goroutine per shard; results land in per-shard slots, so
+// MaxCandidates. From fanoutRecords stored records on, the fanout runs
+// one bounded goroutine per shard; results land in per-shard slots, so
 // the merge — and therefore the final ranking — is deterministic
 // regardless of scheduling.
 func (s *Store) blockCandidates(qid string, words []string) []scored {
@@ -416,19 +369,20 @@ func (s *Store) blockCandidates(qid string, words []string) []scored {
 		sc.perShard = make([][]scored, len(s.shards))
 	}
 	perShard := sc.perShard
-	if len(s.shards) > 1 && s.opts.FanoutRecords > 0 && s.count.Load() >= int64(s.opts.FanoutRecords) {
+	minScore := *s.opts.Blocking.MinScore
+	if len(s.shards) > 1 && s.count.Load() >= int64(fanoutRecords) {
 		var wg sync.WaitGroup
 		wg.Add(len(s.shards))
 		for i, sh := range s.shards {
 			go func(i int, sh *shard) {
 				defer wg.Done()
-				perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates, s.opts.MinScore)
+				perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates, minScore)
 			}(i, sh)
 		}
 		wg.Wait()
 	} else {
 		for i, sh := range s.shards {
-			perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates, s.opts.MinScore)
+			perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates, minScore)
 		}
 	}
 	out := mergeTopK(perShard, s.opts.MaxCandidates)
@@ -572,7 +526,7 @@ func newStore(client llm.Client, opts Options) *Store {
 	s.rscratch.New = func() any { return &resolveScratch{} }
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			ix:   blocking.BuildIndex(nil, o.blockingOptions()),
+			ix:   blocking.BuildIndex(nil, *o.Blocking),
 			recs: map[string]entity.Record{},
 		}
 		s.shards[i].ix.SetMetrics(bm)

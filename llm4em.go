@@ -169,33 +169,11 @@ type (
 	BatchError = resolve.BatchError
 )
 
-// Blocking index configuration (v1). Set StoreOptions.Blocking to a
-// BlockingOptions value to tune the candidate index explicitly; the
-// nil-vs-set pointer fields distinguish "use the default" from a
-// literal zero where the old flat float fields could not.
-type (
-	// BlockingOptions is the v1 configuration of the candidate index:
-	// explicit *float64 thresholds (nil selects the default, a set
-	// pointer — including BlockingFloat(0) — is taken literally) plus
-	// the postings Compression and top-K Pruning knobs.
-	BlockingOptions = blocking.IndexOptions
-	// BlockingCompression selects the postings representation of the
-	// candidate index.
-	BlockingCompression = blocking.Compression
-	// BlockingPruning selects the top-K scoring strategy of the
-	// candidate index.
-	BlockingPruning = blocking.Pruning
-)
-
-// Candidate-index compression and pruning modes.
-const (
-	CompressionAuto   = blocking.CompressionAuto
-	CompressionVarint = blocking.CompressionVarint
-	CompressionNone   = blocking.CompressionNone
-	PruningAuto       = blocking.PruningAuto
-	PruningBlockMax   = blocking.PruningBlockMax
-	PruningOff        = blocking.PruningOff
-)
+// BlockingOptions configures the candidate index: set
+// StoreOptions.Blocking to tune its thresholds. The *float64 fields
+// distinguish "use the default" (nil) from a literal value, including
+// BlockingFloat(0).
+type BlockingOptions = blocking.IndexOptions
 
 // BlockingFloat returns a pointer to v — the set form the explicit
 // BlockingOptions threshold fields take. BlockingFloat(0) requests a

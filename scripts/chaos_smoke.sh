@@ -53,7 +53,7 @@ SRV_PID=$!
 
 up=""
 for _ in $(seq 1 100); do
-    if curl -fsS "http://$ADDR/stats" >/dev/null 2>&1; then
+    if curl -fsS "http://$ADDR/v1/stats" >/dev/null 2>&1; then
         up=1
         break
     fi
@@ -63,7 +63,7 @@ done
 [ -n "$up" ] || fail "server did not come up on $ADDR within 10s"
 
 echo "== ingest records =="
-curl -fsS -X POST "http://$ADDR/records" -d '{"records":[
+curl -fsS -X POST "http://$ADDR/v1/records" -d '{"records":[
   {"id":"r1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera silver"}]},
   {"id":"r2","attrs":[{"name":"title","value":"alpha beta gamma delta sameent0002"}]},
   {"id":"r3","attrs":[{"name":"title","value":"alpha beta gamma delta sameent0003"}]}]}' \
@@ -73,28 +73,28 @@ echo "== resolves during the outage: degrade, never 5xx =="
 # Mid-band similarity: the cascade cannot decide these locally, so
 # every one needs the (dead) LLM — and must still answer 200 with the
 # decisions explicitly marked deferred. curl -f fails on any 5xx.
-curl -fsS -X POST "http://$ADDR/resolve" \
+curl -fsS -X POST "http://$ADDR/v1/resolve" \
     -d '{"id":"q1","attrs":[{"name":"title","value":"alpha beta epsilon zeta sameent0002"}]}' \
     >"$TMP/resolve1.json" || fail "resolve during outage surfaced an error"
 jq -e '[.decisions[] | select(.deferred == true and .method == "deferred-local")] | length >= 1' \
     "$TMP/resolve1.json" >/dev/null || fail "outage resolve carries no deferred decision"
-curl -fsS -X POST "http://$ADDR/resolve" \
+curl -fsS -X POST "http://$ADDR/v1/resolve" \
     -d '{"id":"q2","attrs":[{"name":"title","value":"alpha beta epsilon zeta sameent0003"}]}' \
     >"$TMP/resolve2.json" || fail "second resolve during outage surfaced an error"
 jq -e '[.decisions[] | select(.deferred == true)] | length >= 1' \
     "$TMP/resolve2.json" >/dev/null || fail "second outage resolve carries no deferred decision"
 
 echo "== degraded mode is visible, replica stays ready =="
-curl -fsS "http://$ADDR/readyz" >"$TMP/readyz.json" || fail "/readyz not 200 while degraded"
+curl -fsS "http://$ADDR/v1/readyz" >"$TMP/readyz.json" || fail "/readyz not 200 while degraded"
 jq -e '.status == "ready" and .degraded == "llm_breaker_open"' "$TMP/readyz.json" >/dev/null \
     || fail "/readyz lacks the degraded annotation: $(cat "$TMP/readyz.json")"
-curl -fsS "http://$ADDR/stats" \
+curl -fsS "http://$ADDR/v1/stats" \
     | jq -e '.resilience.enabled == true and .resilience.breaker_state != "closed"
              and .resilience.deferred_pairs >= 2 and .resilience.deferred_queue >= 1' >/dev/null \
     || fail "/stats resilience block does not reflect the outage"
 
 echo "== breaker and deferred metrics are exported =="
-curl -fsS "http://$ADDR/metrics" >"$TMP/metrics.txt" || fail "could not scrape /metrics"
+curl -fsS "http://$ADDR/v1/metrics" >"$TMP/metrics.txt" || fail "could not scrape /metrics"
 metric_nonzero() {
     awk -v name="$1" '$1 == name && $2 + 0 > 0 {found = 1} END {exit !found}' "$TMP/metrics.txt" \
         || fail "metric $1 is missing or zero"
@@ -106,7 +106,7 @@ metric_nonzero em_breaker_trips_total
 echo "== outage ends: deferred queue drains through the re-escalator =="
 drained=""
 for _ in $(seq 1 300); do
-    if curl -fsS "http://$ADDR/stats" \
+    if curl -fsS "http://$ADDR/v1/stats" \
         | jq -e '.resilience.deferred_queue == 0 and .resilience.redecided >= 2
                  and .resilience.breaker_state == "closed"' >/dev/null 2>&1; then
         drained=1
@@ -115,11 +115,11 @@ for _ in $(seq 1 300); do
     sleep 0.1
 done
 [ -n "$drained" ] || fail "deferred queue did not drain after the outage window"
-curl -fsS "http://$ADDR/readyz" | jq -e '.status == "ready" and (has("degraded") | not)' >/dev/null \
+curl -fsS "http://$ADDR/v1/readyz" | jq -e '.status == "ready" and (has("degraded") | not)' >/dev/null \
     || fail "/readyz still degraded after recovery"
 
 echo "== no resolve ever answered 5xx =="
-curl -fsS "http://$ADDR/metrics" >"$TMP/metrics2.txt" || fail "could not re-scrape /metrics"
+curl -fsS "http://$ADDR/v1/metrics" >"$TMP/metrics2.txt" || fail "could not re-scrape /metrics"
 awk '/^em_http_responses_total\{class="5xx",route="resolve"\}/ && $2 + 0 > 0 {exit 1}' \
     "$TMP/metrics2.txt" || fail "resolve answered a 5xx during the outage"
 

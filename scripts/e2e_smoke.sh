@@ -70,14 +70,9 @@ curl -fsS "http://$ADDR/v1/readyz" | jq -e 'has("degraded") | not' >/dev/null \
 curl -fsSi "http://$ADDR/v1/healthz" | grep -qi '^x-request-id:' \
     || fail "response lacks an X-Request-ID header"
 
-echo "== legacy alias answers with Deprecation =="
-curl -fsSi "http://$ADDR/stats" >"$TMP/legacy.txt" || fail "legacy /stats alias broken"
-grep -qi '^deprecation: true' "$TMP/legacy.txt" \
-    || fail "legacy /stats lacks the Deprecation header"
-grep -qi '^link: </v1/stats>; rel="successor-version"' "$TMP/legacy.txt" \
-    || fail "legacy /stats lacks the successor-version Link header"
-curl -fsSi "http://$ADDR/v1/stats" | grep -qi '^deprecation:' \
-    && fail "/v1/stats wrongly carries a Deprecation header"
+echo "== bare (unprefixed) paths are not served =="
+code=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ADDR/stats")
+[ "$code" = 404 ] || fail "bare /stats answered $code, want 404"
 
 echo "== ingest records =="
 curl -fsS -X POST "http://$ADDR/v1/records" -d '{"records":[
