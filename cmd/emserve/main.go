@@ -7,8 +7,8 @@
 //
 // Uncertain pairs from concurrent resolves are coalesced into
 // batched prompts by a cross-request micro-batching dispatcher
-// (-dispatch-pairs, default 16; 0 disables), so heavy traffic pays
-// far fewer LLM round-trips than it resolves pairs. GET /v1/stats
+// (-dispatch-pairs, default 16; 0 or 1 sends one pair per prompt), so
+// heavy traffic pays far fewer LLM round-trips than it resolves pairs. GET /v1/stats
 // reports the dispatcher's batch counters under "dispatch".
 //
 // The prompt formulation for the uncertain band is selectable with
@@ -117,7 +117,7 @@ func main() {
 	candidates := flag.Int("candidates", 0, "max blocking candidates per resolve (0 = default)")
 	deferExtraction := flag.Bool("defer-extraction", false, "skip feature extraction at ingest; extract lazily (and cache) when a record first surfaces as a candidate — faster bulk loads")
 	workers := flag.Int("workers", 0, "LLM pipeline workers (0 = default)")
-	dispatchPairs := flag.Int("dispatch-pairs", 16, "coalesce uncertain pairs from concurrent resolves into batched prompts of up to N pairs (0 = one round-trip per pair)")
+	dispatchPairs := flag.Int("dispatch-pairs", 16, "coalesce uncertain pairs from concurrent resolves into batched prompts of up to N pairs (0 or 1 = one pair per prompt)")
 	dispatchFlush := flag.Duration("dispatch-flush", 0, "max wait for batch-mates before a partial batch is flushed (0 = default)")
 	demo := flag.Bool("demo", false, "preload records derived from WDC Products")
 	records := flag.Int("records", 200, "number of records to preload in -demo mode")

@@ -510,7 +510,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"retries":      st.Engine.Retries,
 		},
 		"dispatch": map[string]any{
-			"enabled":            st.Dispatch.Enabled,
 			"batches":            st.Dispatch.Batches,
 			"batched_pairs":      st.Dispatch.BatchedPairs,
 			"mean_batch_size":    st.Dispatch.MeanBatchSize(),

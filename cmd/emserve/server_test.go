@@ -353,7 +353,7 @@ func TestServerConcurrentResolves(t *testing.T) {
 	}
 }
 
-// TestServerDispatchStats: a dispatcher-enabled store serves
+// TestServerDispatchStats: a batching store (DispatchPairs 8) serves
 // concurrent resolves through batched prompts and reports the batch
 // counters under /stats "dispatch"; shutdown via store.Close drains
 // cleanly.
@@ -398,14 +398,17 @@ func TestServerDispatchStats(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats carry no dispatch block: %v", body)
 	}
-	if dispatch["enabled"] != true {
-		t.Errorf("dispatch.enabled = %v, want true", dispatch["enabled"])
+	if _, ok := dispatch["batches"].(float64); !ok {
+		t.Errorf("dispatch block carries no batch counter: %v", dispatch)
+	}
+	if _, ok := dispatch["enabled"]; ok {
+		t.Errorf("dispatch block still carries an enabled flag: %v", dispatch)
 	}
 	if body["resolves"].(float64) != 8 {
 		t.Errorf("resolves = %v, want 8", body["resolves"])
 	}
 	if err := store.Close(); err != nil {
-		t.Fatalf("close dispatcher-enabled store: %v", err)
+		t.Fatalf("close batching store: %v", err)
 	}
 }
 
@@ -505,8 +508,7 @@ func TestMetricsHealthReady(t *testing.T) {
 		}
 	}
 
-	// Closing the dispatcher-enabled store degrades health and
-	// readiness.
+	// Closing the batching store degrades health and readiness.
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}

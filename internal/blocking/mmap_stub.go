@@ -2,26 +2,10 @@
 
 package blocking
 
-import (
-	"errors"
-	"os"
-)
+import "os"
 
-// mmapSupported gates the mmap snapshot serving path per platform.
-// Callers that would write snapshots only an OpenMapped can read back
-// (the resolve store's emx-authoritative checkpoints) must consult
-// MmapSupported and keep their records in a format this platform can
-// reopen.
-const mmapSupported = false
-
-// errMmapUnsupported makes OpenMapped fail cleanly on platforms
-// without mmap; callers fall back to rebuilding the index from
-// whatever non-mmap state they kept (the resolve store inlines its
-// records in the JSON snapshot on these platforms — see
-// MmapSupported — so recovery replays snapshot+WAL as before the
-// mmap path existed).
-var errMmapUnsupported = errors.New("blocking: mmap is not supported on this platform")
-
-func mmapFile(*os.File, int) ([]byte, func() error, error) {
-	return nil, nil, errMmapUnsupported
+// mmapFile has no mmap to use on this platform: it reads the file onto
+// the heap, so EMIX snapshots open here exactly as on unix.
+func mmapFile(f *os.File, size int) ([]byte, func() error, error) {
+	return readFile(f, size)
 }

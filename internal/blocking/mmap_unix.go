@@ -7,9 +7,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the mmap snapshot serving path per platform.
-const mmapSupported = true
-
 // mmapFile maps size bytes of f read-only. The returned release
 // function unmaps; the file descriptor itself may be closed as soon as
 // mmapFile returns (the mapping keeps the pages alive).

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -56,15 +57,6 @@ import (
 // the varint stream bytes are checked as the cursor decodes them —
 // validating them up front would mean decoding every posting, the
 // replay cost the format exists to avoid.
-
-// MmapSupported reports whether this platform can serve index
-// snapshots through OpenMapped. A WriteSnapshot succeeds everywhere
-// (plain file I/O), so a caller about to make an index snapshot the
-// authoritative carrier of its records — the resolve store's
-// checkpoints — must consult this first: committing a snapshot the
-// same build can never map back silently degrades the next open to
-// whatever other state exists.
-const MmapSupported = mmapSupported
 
 // Typed snapshot errors. Callers that open snapshots opportunistically
 // (the resolve store) match these to fall back to an ingest replay.
@@ -597,8 +589,16 @@ func syncDir(dir string) error {
 // ErrSnapshotTorn (both wrapped with detail) tell callers to rebuild
 // instead. The returned index accepts Add — post-open records live on
 // the heap as extensions chained onto the mapped streams — and must be
-// Closed to release the mapping.
+// Closed to release the mapping. Platforms without mmap read the file
+// onto the heap instead (readFile), so every platform opens the same
+// files.
 func OpenMapped(path string, opts IndexOptions) (*Index, error) {
+	return openSnapshot(path, opts, mmapFile)
+}
+
+// openSnapshot is OpenMapped over a given file reader: mmapFile, or
+// readFile where the platform has no mmap.
+func openSnapshot(path string, opts IndexOptions, read func(*os.File, int) ([]byte, func() error, error)) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -611,7 +611,7 @@ func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 	if st.Size() < emixPage {
 		return nil, fmt.Errorf("%w: %d-byte file is shorter than a header page", ErrSnapshotTorn, st.Size())
 	}
-	data, unmap, err := mmapFile(f, int(st.Size()))
+	data, unmap, err := read(f, int(st.Size()))
 	if err != nil {
 		return nil, err
 	}
@@ -630,6 +630,17 @@ func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 	}
 	ix.scratch.New = func() any { return &queryScratch{} }
 	return ix, nil
+}
+
+// readFile reads size bytes of f onto the heap — the OpenMapped reader
+// of platforms without mmap. The release function is a no-op: the
+// garbage collector reclaims the buffer once the index is dropped.
+func readFile(f *os.File, size int) ([]byte, func() error, error) {
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, nil, err
+	}
+	return data, func() error { return nil }, nil
 }
 
 // parseMapped validates the header and carves the section slices.

@@ -109,6 +109,40 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeapReaderMatchesMmap pins the reader platforms without mmap
+// use: one EMIX file opened onto the heap must rank, decode and
+// append exactly like the same file opened through mmap.
+func TestHeapReaderMatchesMmap(t *testing.T) {
+	rng := detrand.New("snapshot-heap-reader")
+	recs := randomRecords(rng, 500)
+	path := writeTestSnapshot(t, BuildIndex(recs, IndexOptions{}))
+	mapped, err := OpenMapped(path, IndexOptions{})
+	if err != nil {
+		t.Fatalf("OpenMapped: %v", err)
+	}
+	defer mapped.Close()
+	heap, err := openSnapshot(path, IndexOptions{}, readFile)
+	if err != nil {
+		t.Fatalf("open onto the heap: %v", err)
+	}
+	defer heap.Close()
+
+	var queries []string
+	for q := 0; q < 15; q++ {
+		queries = append(queries, recs[rng.Intn(len(recs))].Serialize())
+	}
+	queryBoth(t, "heap-vs-mmap", heap, mapped, queries)
+	for _, pos := range []int{0, 17, len(recs) - 1} {
+		if got, want := heap.Record(pos), mapped.Record(pos); !reflect.DeepEqual(got, want) {
+			t.Fatalf("heap Record(%d) = %+v, mmap %+v", pos, got, want)
+		}
+	}
+	extra := entity.Record{ID: "extra", Attrs: []entity.Attr{{Name: "title", Value: recs[0].Attrs[0].Value + " novel gadget"}}}
+	heap.Add(extra)
+	mapped.Add(extra)
+	queryBoth(t, "heap-vs-mmap after Add", heap, mapped, append(queries, "novel gadget"))
+}
+
 // TestMappedOverlayAppend pins the append path of a mapped index:
 // records added after OpenMapped — repeating snapshot tokens and
 // introducing new ones — must score exactly as if the whole collection

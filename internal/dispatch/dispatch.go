@@ -86,7 +86,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ErrClosed is returned by Do/DoAll after Close.
+// ErrClosed is returned by DoAllContext and DoGroupContext after
+// Close.
 var ErrClosed = errors.New("dispatch: dispatcher is closed")
 
 // Result is the outcome of one submitted pair.
@@ -116,8 +117,8 @@ type Result struct {
 	// instead.
 	FellBack bool
 	// Grouped reports that a grouped compare/select prompt decided the
-	// pair (see DoGroup); GroupSize is the number of pairs that rode
-	// that prompt.
+	// pair (see DoGroupContext); GroupSize is the number of pairs that
+	// rode that prompt.
 	Grouped   bool
 	GroupSize int
 }
@@ -170,8 +171,12 @@ func (s Stats) MeanBatchSize() float64 {
 // call is one submitted pair: the future its waiters block on plus
 // the slots the executing batch fills in.
 type call struct {
-	pair  entity.Pair
-	key   string // per-pair prompt — the dedupe and cache key
+	pair entity.Pair
+	key  string // per-pair prompt — the dedupe and cache key
+	// ctx is the context of the submitter that enqueued the call;
+	// waiters coalesced onto it share its fate, like the engine's
+	// prompt cache.
+	ctx   context.Context
 	ready chan struct{}
 	res   Result
 	err   error
@@ -240,28 +245,20 @@ func (d *Dispatcher) Stats() Stats {
 	}
 }
 
-// Do submits one pair and blocks until it is decided.
-func (d *Dispatcher) Do(pair entity.Pair) (Result, error) {
-	rs, err := d.DoAll([]entity.Pair{pair})
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
-// DoAll submits the pairs — typically one Resolve call's uncertain
-// band — and blocks until every one is decided, returning results in
-// input order. The pairs may be answered by several different batches
-// (shared with other concurrent callers), by the prompt cache, or by
-// per-pair fallbacks; the first error of any of them is returned.
-func (d *Dispatcher) DoAll(pairs []entity.Pair) ([]Result, error) {
-	return d.DoAllContext(context.Background(), pairs)
-}
-
-// DoAllContext is DoAll with cancellation. A batch is shared with
-// other callers, so an expired context abandons this caller's wait —
-// the batch itself keeps executing in the background and its answers
-// still seed the prompt cache — and the context error is returned.
+// DoAllContext submits the pairs — typically one Resolve call's
+// uncertain band — and blocks until every one is decided, returning
+// results in input order. The pairs may be answered by several
+// different batches (shared with other concurrent callers), by the
+// prompt cache, or by per-pair fallbacks; the first error of any of
+// them is returned.
+//
+// The context follows the engine prompt cache's rule: a pair this
+// call enqueues runs its singleton or fallback request under ctx,
+// while a batch shared with other callers is cancelled only once
+// every member submitter's context is done. An expired context
+// abandons this caller's wait — a batch that is still live keeps
+// executing and its answers still seed the prompt cache — and the
+// context error is returned.
 func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]Result, error) {
 	if len(pairs) == 0 {
 		return nil, nil
@@ -303,7 +300,7 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 			shared[i] = true
 			continue
 		}
-		c := &call{pair: p, key: keys[i], ready: make(chan struct{})}
+		c := &call{pair: p, key: keys[i], ctx: ctx, ready: make(chan struct{})}
 		if d.opts.Metrics.WaitSeconds != nil {
 			c.enqueued = time.Now()
 		}
@@ -414,7 +411,7 @@ func (d *Dispatcher) deadlineFlush() {
 
 // Close drains the dispatcher: pending pairs are flushed immediately
 // — their waiters still receive real answers — and in-flight batches
-// are awaited. Subsequent Do/DoAll calls return ErrClosed. Idempotent
+// are awaited. Subsequent submissions return ErrClosed. Idempotent
 // and safe to call concurrently with submissions.
 func (d *Dispatcher) Close() {
 	d.mu.Lock()
@@ -455,7 +452,9 @@ func (d *Dispatcher) execute(batch []*call, seq uint64) {
 	for i, c := range batch {
 		pairs[i] = c.pair
 	}
-	resp, batchCached, err := d.eng.Complete(d.buildBatch(pairs))
+	ctx, stop := batchContext(batch)
+	resp, batchCached, err := d.eng.CompleteContext(ctx, d.buildBatch(pairs))
+	stop()
 	if err != nil {
 		werr := fmt.Errorf("dispatch: batch of %d: %w", len(batch), err)
 		for _, c := range batch {
@@ -502,11 +501,36 @@ func (d *Dispatcher) execute(batch []*call, seq uint64) {
 	d.settle(batch)
 }
 
-// completePair answers one pair with its ordinary per-pair prompt.
-// Routing stats are the caller's job — they count re-routed pairs
-// whether or not this call succeeds.
+// batchContext returns the context a batched request runs under: it
+// is cancelled only once every member's submitter context is done, so
+// one caller giving up never fails the batch-mates still waiting on
+// it. stop releases the watchers once the request returns.
+func batchContext(batch []*call) (context.Context, func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var live atomic.Int64
+	live.Store(int64(len(batch)))
+	stops := make([]func() bool, len(batch))
+	for i, c := range batch {
+		stops[i] = context.AfterFunc(c.ctx, func() {
+			if live.Add(-1) == 0 {
+				cancel()
+			}
+		})
+	}
+	return ctx, func() {
+		for _, s := range stops {
+			s()
+		}
+		cancel()
+	}
+}
+
+// completePair answers one pair with its ordinary per-pair prompt,
+// under the context of the submitter that enqueued it. Routing stats
+// are the caller's job — they count re-routed pairs whether or not
+// this call succeeds.
 func (d *Dispatcher) completePair(c *call, fellBack bool) {
-	resp, cached, err := d.eng.Complete(c.key)
+	resp, cached, err := d.eng.CompleteContext(c.ctx, c.key)
 	if err != nil {
 		c.err = fmt.Errorf("dispatch: pair %s: %w", c.pair.ID, err)
 		return

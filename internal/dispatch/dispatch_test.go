@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -101,6 +102,15 @@ func newTestDispatcher(client llm.Client, opts Options) *Dispatcher {
 	return New(eng, testBuildPair, testBuildBatch, opts)
 }
 
+// doOne submits a single pair without a deadline.
+func doOne(d *Dispatcher, p entity.Pair) (Result, error) {
+	rs, err := d.DoAllContext(context.Background(), []entity.Pair{p})
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
 // TestBatchesCoalesceConcurrentCalls is the core behavior: many
 // concurrent submissions ride far fewer client round-trips, every
 // caller gets its own correct answer.
@@ -116,7 +126,7 @@ func TestBatchesCoalesceConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := d.Do(pair(i, i%2 == 0))
+			r, err := doOne(d, pair(i, i%2 == 0))
 			if err != nil {
 				t.Error(err)
 				return
@@ -165,7 +175,7 @@ func TestFlushOnCloseWithPendingPairs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = d.Do(pair(i, true))
+			results[i], errs[i] = doOne(d, pair(i, true))
 		}(i)
 	}
 
@@ -206,7 +216,7 @@ func TestFlushOnCloseWithPendingPairs(t *testing.T) {
 	if st.BatchedPairs != n {
 		t.Errorf("BatchedPairs = %d, want %d (one drained batch)", st.BatchedPairs, n)
 	}
-	if _, err := d.Do(pair(99, true)); !errors.Is(err, ErrClosed) {
+	if _, err := doOne(d, pair(99, true)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Do after Close: %v, want ErrClosed", err)
 	}
 	d.Close() // idempotent
@@ -231,7 +241,7 @@ func TestDeadlineFlushRacesFullBatch(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				res, err := d.Do(pair(i, i%3 == 0))
+				res, err := doOne(d, pair(i, i%3 == 0))
 				if err != nil {
 					t.Error(err)
 					return
@@ -276,7 +286,7 @@ func TestBatchParseFailureFallsBackPerPair(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := d.Do(pair(i, i%2 == 0))
+			r, err := doOne(d, pair(i, i%2 == 0))
 			if err != nil {
 				t.Error(err)
 				return
@@ -318,10 +328,10 @@ func TestSingleFlightAndCacheLayering(t *testing.T) {
 	defer d.Close()
 
 	// Two distinct pairs plus a duplicate of the first, submitted in
-	// one call: DoAll enqueues all three under one lock acquisition, so
+	// one call: DoAllContext enqueues all three under one lock acquisition, so
 	// the duplicate deterministically coalesces onto the in-flight twin
 	// and the two distinct pairs form exactly one full batch.
-	rs, err := d.DoAll([]entity.Pair{pair(0, true), pair(1, true), pair(0, true)})
+	rs, err := d.DoAllContext(context.Background(), []entity.Pair{pair(0, true), pair(1, true), pair(0, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +353,7 @@ func TestSingleFlightAndCacheLayering(t *testing.T) {
 	}
 
 	// A later repeat is served from the seeded per-pair cache.
-	r, err := d.Do(pair(0, true))
+	r, err := doOne(d, pair(0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,7 @@ func TestDoAllMixedWithinOneCall(t *testing.T) {
 	// batch of 3, a deadline-flushed partial of 1 (the duplicate
 	// coalesces onto its twin).
 	pairs := []entity.Pair{pair(0, true), pair(1, false), pair(2, true), pair(0, true), pair(3, false)}
-	rs, err := d.DoAll(pairs)
+	rs, err := d.DoAllContext(context.Background(), pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +397,8 @@ func TestDoAllMixedWithinOneCall(t *testing.T) {
 		t.Errorf("singleton flush marked batched: %+v", rs[4])
 	}
 
-	if rs2, err := d.DoAll(nil); err != nil || rs2 != nil {
-		t.Errorf("DoAll(nil) = %v, %v", rs2, err)
+	if rs2, err := d.DoAllContext(context.Background(), nil); err != nil || rs2 != nil {
+		t.Errorf("DoAllContext(nil) = %v, %v", rs2, err)
 	}
 }
 
@@ -403,7 +413,7 @@ func TestClientErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = d.Do(pair(i, true))
+			_, errs[i] = doOne(d, pair(i, true))
 		}(i)
 	}
 	wg.Wait()
@@ -418,6 +428,99 @@ func TestClientErrorPropagates(t *testing.T) {
 	d.mu.Unlock()
 	if inflight != 0 {
 		t.Errorf("inflight = %d after failure, want 0 (retryable)", inflight)
+	}
+}
+
+// gateClient answers like testClient, but holds every request until
+// release is closed or the request's context is done; entered
+// receives one value per request that reached the client.
+type gateClient struct {
+	testClient
+	release chan struct{}
+	entered chan struct{}
+}
+
+func (c *gateClient) ChatContext(ctx context.Context, messages []llm.Message) (llm.Response, error) {
+	c.entered <- struct{}{}
+	select {
+	case <-ctx.Done():
+		return llm.Response{}, ctx.Err()
+	case <-c.release:
+	}
+	return c.testClient.Chat(messages)
+}
+
+func newGateClient() *gateClient {
+	return &gateClient{release: make(chan struct{}), entered: make(chan struct{}, 16)}
+}
+
+// TestBatchOutlivesOneSubmitter: a batch shared by two submitters is
+// not cancelled when only one of them gives up — the other still gets
+// its answer.
+func TestBatchOutlivesOneSubmitter(t *testing.T) {
+	client := newGateClient()
+	d := New(pipeline.New(client, pipeline.Options{}), testBuildPair, testBuildBatch,
+		Options{MaxBatchPairs: 2, FlushInterval: time.Minute})
+	defer d.Close()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	errA := make(chan error, 1)
+	go func() {
+		_, err := d.DoAllContext(ctxA, []entity.Pair{pair(0, true)})
+		errA <- err
+	}()
+	type outcome struct {
+		res Result
+		err error
+	}
+	outB := make(chan outcome, 1)
+	go func() {
+		r, err := doOne(d, pair(1, true))
+		outB <- outcome{r, err}
+	}()
+
+	<-client.entered // the size-flushed batch of both pairs is in flight
+	cancelA()
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled submitter: err = %v, want context.Canceled", err)
+	}
+	close(client.release)
+	b := <-outB
+	if b.err != nil {
+		t.Fatalf("live submitter failed with its batch-mate's cancellation: %v", b.err)
+	}
+	if !b.res.Match || !b.res.Batched || b.res.BatchSize != 2 {
+		t.Errorf("live submitter result = %+v, want a matching answer from the batch of 2", b.res)
+	}
+}
+
+// TestExpiredSubmittersReleaseClose: once every submitter's context
+// is done, their requests — batched or singleton — are cancelled, so
+// Close does not wait on a backend that never answers.
+func TestExpiredSubmittersReleaseClose(t *testing.T) {
+	for _, batchPairs := range []int{1, 16} {
+		t.Run(fmt.Sprintf("pairs=%d", batchPairs), func(t *testing.T) {
+			client := newGateClient()
+			defer close(client.release)
+			d := New(pipeline.New(client, pipeline.Options{MaxRetries: -1}), testBuildPair, testBuildBatch,
+				Options{MaxBatchPairs: batchPairs, FlushInterval: time.Millisecond})
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			if _, err := d.DoAllContext(ctx, []entity.Pair{pair(0, true), pair(1, false)}); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			closed := make(chan struct{})
+			go func() {
+				d.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(time.Second):
+				t.Fatal("Close blocked on requests whose submitters have all given up")
+			}
+		})
 	}
 }
 

@@ -33,19 +33,15 @@ type GroupSpec struct {
 	Parse func(answer string, n int) ([]bool, bool)
 }
 
-// DoGroup submits one query's uncertain pairs as a single grouped
-// prompt and blocks until every pair is decided, returning results in
-// input order. Pairs already answered by the per-pair prompt cache
-// are served from it; the rest ride one grouped round-trip whose
-// verdicts are seeded back into the per-pair cache. A reply the
-// strict parser rejects falls back to individual per-pair prompts for
-// the whole group. Returns ErrClosed after Close.
-func (d *Dispatcher) DoGroup(pairs []entity.Pair, spec GroupSpec) ([]Result, error) {
-	return d.DoGroupContext(context.Background(), pairs, spec)
-}
-
-// DoGroupContext is DoGroup with cancellation: the context bounds the
-// grouped round-trip and any per-pair fallback calls it degrades to.
+// DoGroupContext submits one query's uncertain pairs as a single
+// grouped prompt and blocks until every pair is decided, returning
+// results in input order. Pairs already answered by the per-pair
+// prompt cache are served from it; the rest ride one grouped
+// round-trip whose verdicts are seeded back into the per-pair cache.
+// A reply the strict parser rejects falls back to individual per-pair
+// prompts for the whole group. The context bounds the grouped
+// round-trip and those fallback calls; the first error of any of them
+// fails the whole group. Returns ErrClosed after Close.
 func (d *Dispatcher) DoGroupContext(ctx context.Context, pairs []entity.Pair, spec GroupSpec) ([]Result, error) {
 	if len(pairs) == 0 {
 		return nil, nil
@@ -60,53 +56,13 @@ func (d *Dispatcher) DoGroupContext(ctx context.Context, pairs []entity.Pair, sp
 	d.mu.Unlock()
 	defer d.wg.Done()
 
-	out, err := RunGroupContext(ctx, d.eng, d.buildPair, pairs, spec)
-	if err != nil {
-		return nil, err
-	}
-	grouped, fresh, fellBack := 0, false, false
-	for _, r := range out {
-		switch {
-		case r.Grouped:
-			grouped++
-			if !r.Cached {
-				fresh = true
-			}
-		case r.FellBack:
-			fellBack = true
-			d.stats.groupFallbackPairs.Add(1)
-		case r.Cached:
-			d.stats.cacheHits.Add(1)
-		}
-	}
-	d.stats.groupedPairs.Add(uint64(grouped))
-	if fresh {
-		d.stats.groupCalls.Add(1)
-	}
-	if fellBack {
-		d.stats.groupParseFallbacks.Add(1)
-	}
-	return out, nil
-}
-
-// RunGroup issues one grouped prompt directly through the engine —
-// the dispatcher-less counterpart of DoGroup, used by offline
-// evaluation. buildPair renders the ordinary per-pair prompt (the
-// cache key and the fallback request). Results come back in input
-// order; the first error of the group request or any fallback request
-// fails the whole group.
-func RunGroup(eng *pipeline.Engine, buildPair func(entity.Pair) string, pairs []entity.Pair, spec GroupSpec) ([]Result, error) {
-	return RunGroupContext(context.Background(), eng, buildPair, pairs, spec)
-}
-
-// RunGroupContext is RunGroup with cancellation.
-func RunGroupContext(ctx context.Context, eng *pipeline.Engine, buildPair func(entity.Pair) string, pairs []entity.Pair, spec GroupSpec) ([]Result, error) {
 	out := make([]Result, len(pairs))
 	keys := make([]string, len(pairs))
 	var remaining []int
 	for i, p := range pairs {
-		keys[i] = buildPair(p)
-		if resp, ok := eng.Peek(keys[i]); ok {
+		keys[i] = d.buildPair(p)
+		if resp, ok := d.eng.Peek(keys[i]); ok {
+			d.stats.cacheHits.Add(1)
 			out[i] = Result{
 				Match:  core.ParseAnswer(resp.Content),
 				Answer: resp.Content,
@@ -125,7 +81,7 @@ func RunGroupContext(ctx context.Context, eng *pipeline.Engine, buildPair func(e
 	for j, i := range remaining {
 		group[j] = pairs[i]
 	}
-	resp, groupCached, err := eng.CompleteContext(ctx, spec.Build(group))
+	resp, groupCached, err := d.eng.CompleteContext(ctx, spec.Build(group))
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: group of %d: %w", len(group), err)
 	}
@@ -135,10 +91,12 @@ func RunGroupContext(ctx context.Context, eng *pipeline.Engine, buildPair func(e
 		// The reply did not cleanly decide every pair — degrade the
 		// whole group to individual per-pair prompts, exactly like a
 		// failed batch parse.
+		d.stats.groupParseFallbacks.Add(1)
+		d.stats.groupFallbackPairs.Add(uint64(len(remaining)))
 		errs := make([]error, len(remaining))
-		_ = pipeline.ForEach(len(remaining), eng.Workers(), func(j int) error {
+		_ = pipeline.ForEach(len(remaining), d.eng.Workers(), func(j int) error {
 			i := remaining[j]
-			presp, pcached, perr := eng.CompleteContext(ctx, keys[i])
+			presp, pcached, perr := d.eng.CompleteContext(ctx, keys[i])
 			if perr != nil {
 				errs[j] = fmt.Errorf("dispatch: pair %s: %w", pairs[i].ID, perr)
 				return nil
@@ -160,6 +118,10 @@ func RunGroupContext(ctx context.Context, eng *pipeline.Engine, buildPair func(e
 		return out, nil
 	}
 
+	d.stats.groupedPairs.Add(uint64(len(group)))
+	if !groupCached {
+		d.stats.groupCalls.Add(1)
+	}
 	shares := splitUsage(resp, len(group))
 	for j, i := range remaining {
 		answer := "No"
@@ -179,7 +141,7 @@ func RunGroupContext(ctx context.Context, eng *pipeline.Engine, buildPair func(e
 		// cache hit.
 		share := shares[j]
 		share.Content = answer
-		eng.Seed(keys[i], share)
+		d.eng.Seed(keys[i], share)
 	}
 	return out, nil
 }

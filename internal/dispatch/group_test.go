@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,7 +11,6 @@ import (
 
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
-	"llm4em/internal/pipeline"
 )
 
 // The grouped test format: "group:\n<i> | <a> | <b>" lines, answered
@@ -93,7 +93,7 @@ func (c *groupClient) Chat(messages []llm.Message) (llm.Response, error) {
 // groupPairs builds n pairs sharing one query record, each candidate
 // distinct, matching where the index is even (those candidates are
 // "variant" renderings the test client recognizes) — the shape
-// DoGroup receives from a Resolve call.
+// DoGroupContext receives from a Resolve call.
 func groupPairs(n int) []entity.Pair {
 	q := entity.Record{ID: "q", Attrs: []entity.Attr{{Name: "title", Value: "query item"}}}
 	pairs := make([]entity.Pair, n)
@@ -120,7 +120,7 @@ func TestDoGroupAnswersAllPairsInOneCall(t *testing.T) {
 	defer d.Close()
 	pairs := groupPairs(4)
 
-	results, err := d.DoGroup(pairs, testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestDoGroupSeedsPerPairCache(t *testing.T) {
 	defer d.Close()
 	pairs := groupPairs(3)
 
-	if _, err := d.DoGroup(pairs, testGroupSpec()); err != nil {
+	if _, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec()); err != nil {
 		t.Fatal(err)
 	}
 	// The same pair pairwise: answered from the seeded cache.
-	res, err := d.Do(pairs[1])
+	res, err := doOne(d, pairs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestDoGroupSeedsPerPairCache(t *testing.T) {
 	}
 	// A second group overlapping the first: the repeats come from the
 	// cache, no new client call for a fully covered group.
-	results, err := d.DoGroup(pairs[:2], testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), pairs[:2], testGroupSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
 		d := newTestDispatcher(client, Options{})
 		defer d.Close()
 		pairs := groupPairs(4)
-		results, err := d.DoGroup(pairs, testGroupSpec())
+		results, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,8 +236,8 @@ func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
 func TestDoGroupAfterCloseErrors(t *testing.T) {
 	d := newTestDispatcher(&groupClient{}, Options{})
 	d.Close()
-	if _, err := d.DoGroup(groupPairs(2), testGroupSpec()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DoGroup after Close returned %v, want ErrClosed", err)
+	if _, err := d.DoGroupContext(context.Background(), groupPairs(2), testGroupSpec()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("DoGroupContext after Close returned %v, want ErrClosed", err)
 	}
 }
 
@@ -245,25 +245,26 @@ func TestDoGroupAfterCloseErrors(t *testing.T) {
 func TestDoGroupEmpty(t *testing.T) {
 	d := newTestDispatcher(&groupClient{}, Options{})
 	defer d.Close()
-	results, err := d.DoGroup(nil, testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), nil, testGroupSpec())
 	if err != nil || results != nil {
-		t.Fatalf("DoGroup(nil) = %v, %v; want nil, nil", results, err)
+		t.Fatalf("DoGroupContext(nil) = %v, %v; want nil, nil", results, err)
 	}
 }
 
-// TestRunGroupMixedCache pins the peek layering of the engine-direct
-// path: pre-answered pairs are served from the cache and only the
-// remainder rides the grouped prompt.
-func TestRunGroupMixedCache(t *testing.T) {
+// TestDoGroupMixedCache pins the peek layering of the grouped path:
+// pre-answered pairs are served from the cache and only the remainder
+// rides the grouped prompt.
+func TestDoGroupMixedCache(t *testing.T) {
 	client := &groupClient{}
-	eng := pipeline.New(client, pipeline.Options{Workers: 4})
+	d := newTestDispatcher(client, Options{})
+	defer d.Close()
 	pairs := groupPairs(3)
 
 	// Answer one pair pairwise first so its key is cached.
-	if _, _, err := eng.Complete(testBuildPair(pairs[0])); err != nil {
+	if _, err := doOne(d, pairs[0]); err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunGroup(eng, testBuildPair, pairs, testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

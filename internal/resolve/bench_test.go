@@ -147,8 +147,8 @@ func BenchmarkStoreResolveParallel(b *testing.B) {
 func BenchmarkStoreResolveDispatch(b *testing.B) { benchmarkDispatch(b, 16) }
 
 // BenchmarkStoreResolveDispatchOff is the same workload with one
-// round-trip per uncertain pair — the comparison baseline recorded in
-// BENCH_dispatch.json.
+// pair per prompt (DispatchPairs 0) — one round-trip per uncertain
+// pair, the comparison baseline recorded in BENCH_dispatch.json.
 func BenchmarkStoreResolveDispatchOff(b *testing.B) { benchmarkDispatch(b, 0) }
 
 func benchmarkDispatch(b *testing.B, dispatchPairs int) {
@@ -156,11 +156,9 @@ func benchmarkDispatch(b *testing.B, dispatchPairs int) {
 	client := &batchConsistentClient{latency: 200 * time.Microsecond}
 	// Caching off so escalations are not answered by a warming cache.
 	// The queries wrap around as b.N grows and the dispatcher's
-	// single-flight can coalesce overlapping repeats of the same pair
-	// — an economy the unbatched path (no coalescing with the cache
-	// off) cannot match — so the round-trip metric below divides by
-	// the pairs that actually consumed a batch seat or their own
-	// call, keeping the two variants comparable.
+	// single-flight can coalesce overlapping repeats of the same pair,
+	// so the round-trip metric below divides by the pairs that
+	// actually consumed a batch seat or their own call.
 	s := New(client, Options{DispatchPairs: dispatchPairs, CacheSize: -1})
 	if err := s.AddBatch(seed); err != nil {
 		b.Fatal(err)
@@ -180,16 +178,15 @@ func benchmarkDispatch(b *testing.B, dispatchPairs int) {
 	})
 	b.StopTimer()
 	st := s.Stats()
-	routed := st.LLMPairs // unbatched: every pair is its own call
-	if st.Dispatch.Enabled {
-		routed = st.Dispatch.BatchedPairs + st.Dispatch.SinglePairCalls + st.Dispatch.FallbackPairs
-		coalesced := st.Dispatch.SingleFlightHits + st.Dispatch.CacheHits
+	routed := st.Dispatch.BatchedPairs + st.Dispatch.SinglePairCalls + st.Dispatch.FallbackPairs
+	coalesced := st.Dispatch.SingleFlightHits + st.Dispatch.CacheHits
+	if st.LLMPairs > 0 {
 		b.ReportMetric(float64(coalesced)/float64(st.LLMPairs), "coalesced/pair")
 	}
 	if routed > 0 {
 		b.ReportMetric(float64(st.Engine.ClientCalls)/float64(routed), "client-calls/pair")
 	}
-	if st.Dispatch.Enabled && st.Dispatch.Batches > 0 {
+	if st.Dispatch.Batches > 0 {
 		b.ReportMetric(st.Dispatch.MeanBatchSize(), "pairs/batch")
 	}
 	s.Close()

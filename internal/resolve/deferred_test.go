@@ -147,6 +147,46 @@ func TestDeadlineDegradesWithoutTrippingBreaker(t *testing.T) {
 	}
 }
 
+// TestDeadlineDeferredCloseReturns: a resolve whose deadline expires
+// against a hanging backend is deferred, and Close does not then wait
+// on the abandoned LLM call — at one pair per prompt and with
+// batching alike.
+func TestDeadlineDeferredCloseReturns(t *testing.T) {
+	for _, pairs := range []int{1, 16} {
+		t.Run(fmt.Sprintf("pairs=%d", pairs), func(t *testing.T) {
+			block := make(chan struct{})
+			defer close(block)
+			s := New(&hangingClient{block: block}, Options{
+				Cascade:       CascadeOptions{Disable: true},
+				Resilience:    resilientOptions(),
+				DispatchPairs: pairs,
+			})
+			if err := s.Add(rec("r1", "alpha beta sameent0001")); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			res, err := s.ResolveContext(ctx, rec("q1", "alpha beta sameent0001"))
+			if err != nil {
+				t.Fatalf("ResolveContext past its deadline: %v", err)
+			}
+			if !res.Decisions[0].Deferred {
+				t.Fatalf("decision = %+v, want deferred", res.Decisions[0])
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- s.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Close blocked on the expired resolve's LLM call")
+			}
+		})
+	}
+}
+
 // hangingClient blocks every request until its context expires (or
 // the test closes block), exercising deadline propagation.
 type hangingClient struct{ block chan struct{} }

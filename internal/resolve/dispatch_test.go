@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"llm4em/internal/core"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
+	"llm4em/internal/pipeline"
 	"llm4em/internal/prompt"
 )
 
@@ -212,11 +215,44 @@ func TestDispatchDifferentialByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(bSnap, uSnap) {
 		t.Errorf("entity snapshots differ:\nbatched:   %v\nunbatched: %v", bSnap, uSnap)
 	}
-	if bStats.Dispatch.BatchedPairs == 0 || !bStats.Dispatch.Enabled {
+	if bStats.Dispatch.BatchedPairs == 0 {
 		t.Errorf("dispatch stats %+v: the batched run never batched", bStats.Dispatch)
 	}
 	if uCalls != n {
 		t.Errorf("unbatched run made %d client calls, want %d (one per pair)", uCalls, n)
+	}
+
+	// Independent oracle: both runs go through the dispatcher, so the
+	// unbatched answers are also checked against the engine asked
+	// directly, one prompt per pair.
+	o := Options{}.withDefaults()
+	spec := prompt.Spec{Design: o.Design, Domain: o.Domain}
+	seedByID := map[string]entity.Record{}
+	for _, r := range seed {
+		seedByID[r.ID] = r
+	}
+	var oraclePairs []entity.Pair
+	var want []pinnedDecision
+	for _, q := range queries {
+		var ds []pinnedDecision
+		if err := json.Unmarshal(unbatched[q.ID], &ds); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range ds {
+			oraclePairs = append(oraclePairs, entity.Pair{ID: q.ID + "|" + d.CandidateID, A: q, B: seedByID[d.CandidateID]})
+			want = append(want, d)
+		}
+	}
+	oracle, err := pipeline.New(&batchConsistentClient{}, pipeline.Options{}).
+		MatchContext(context.Background(), oraclePairs, spec.Build, core.ParseAnswer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, od := range oracle {
+		if od.Answer != want[i].Answer || od.Match != want[i].Match {
+			t.Errorf("pair %s: engine oracle answered %q (match %v), unbatched run %q (match %v)",
+				oraclePairs[i].ID, od.Answer, od.Match, want[i].Answer, want[i].Match)
+		}
 	}
 	if bCalls >= uCalls {
 		t.Errorf("batched run made %d client calls, unbatched %d — batching must be strictly cheaper", bCalls, uCalls)

@@ -85,12 +85,12 @@ type persistState struct {
 	// before the first mapped checkpoint); mappedShards counts shards
 	// served straight from an mmap at open, and mappedFallback reports
 	// that referenced index snapshots existed but could not be mapped
-	// (torn, truncated, version-mismatched or mmap-unsupported), so
-	// recovery degraded to the JSON snapshot and WAL contents. On a
-	// fallback, fallbackEpoch records the generation that could not be
-	// read: checkpoints quarantine its files (a binary of the right
-	// version may still recover them) instead of garbage-collecting
-	// them with the other unreferenced epochs.
+	// (torn, truncated or version-mismatched), so recovery degraded to
+	// the JSON snapshot and WAL contents. On a fallback, fallbackEpoch
+	// records the generation that could not be read: checkpoints
+	// quarantine its files (a binary of the right version may still
+	// recover them) instead of garbage-collecting them with the other
+	// unreferenced epochs.
 	indexEpoch     uint64
 	mappedShards   int
 	mappedFallback bool
@@ -201,12 +201,11 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 // singletons ride snap.Groups as always).
 //
 // Degradation is deliberate and silent at the API: a torn, truncated,
-// missing or version-mismatched index file — or a directory written
-// by an mmap-capable build opened on a platform without mmap — leaves
-// the fresh empty shards in place and recovery continues with
-// whatever the JSON snapshot and the WAL carry, while the unreadable
-// generation's files are quarantined (never garbage-collected) so a
-// correct binary can still recover them; a shard-count change
+// missing or version-mismatched index file leaves the fresh empty
+// shards in place and recovery continues with whatever the JSON
+// snapshot and the WAL carry, while the unreadable generation's files
+// are quarantined (never garbage-collected) so a correct binary can
+// still recover them; a shard-count change
 // re-inserts every mapped record under the new routing (a full
 // rebuild, exactly the pre-mmap cost). Called before the store is
 // shared, so field access needs no locks.
@@ -494,40 +493,35 @@ func (s *Store) afterAppendLocked() error {
 // file), written for a fresh epoch before snapshot.json commits the
 // binding — the next Open then maps the shards instead of replaying
 // the ingest. Each shard's file is written under its read lock, so
-// Adds to that shard wait out its write. The records are inlined in
-// the JSON snapshot — exactly the pre-mmap format — instead whenever
-// the index files would not be authoritative: on platforms whose
-// OpenMapped cannot read them back (blocking.MmapSupported is false;
-// WriteSnapshot itself is plain file I/O and would succeed), or when
-// any index write fails.
+// Adds to that shard wait out its write. Every platform reads these
+// files back (by mmap, or onto the heap where there is none). Only
+// when an index write fails are the records inlined in the JSON
+// snapshot — exactly the pre-mmap format — instead.
 func (s *Store) checkpointLocked() error {
 	snap := &persist.Snapshot{}
-	emxOK := blocking.MmapSupported
-	var epoch uint64
-	if emxOK {
-		// The new generation's number must be fresh against both the
-		// committed binding and every file on disk: after a
-		// mapped-fallback open the in-memory counter alone can lag what
-		// snapshot.json references, and renaming shard files over a
-		// still-referenced generation would let a crash mid-checkpoint
-		// commit a mix of generations under one epoch.
-		epoch = s.pstate.indexEpoch + 1
-		if m := persist.MaxIndexEpoch(s.opts.PersistDir); m >= epoch {
-			epoch = m + 1
-		}
-		for i, sh := range s.shards {
-			p := filepath.Join(s.opts.PersistDir, persist.IndexFileName(epoch, i))
-			sh.mu.RLock()
-			err := sh.ix.WriteSnapshot(p)
-			sh.mu.RUnlock()
-			if err != nil {
-				emxOK = false
-				// Drop whatever the failed pass wrote of the new epoch
-				// (the previous epoch stays — the committed snapshot
-				// references it until the rename below).
-				persist.RemoveIndexFiles(s.opts.PersistDir, s.keepEpochs(s.pstate.indexEpoch)...)
-				break
-			}
+	emxOK := true
+	// The new generation's number must be fresh against both the
+	// committed binding and every file on disk: after a mapped-fallback
+	// open the in-memory counter alone can lag what snapshot.json
+	// references, and renaming shard files over a still-referenced
+	// generation would let a crash mid-checkpoint commit a mix of
+	// generations under one epoch.
+	epoch := s.pstate.indexEpoch + 1
+	if m := persist.MaxIndexEpoch(s.opts.PersistDir); m >= epoch {
+		epoch = m + 1
+	}
+	for i, sh := range s.shards {
+		p := filepath.Join(s.opts.PersistDir, persist.IndexFileName(epoch, i))
+		sh.mu.RLock()
+		err := sh.ix.WriteSnapshot(p)
+		sh.mu.RUnlock()
+		if err != nil {
+			emxOK = false
+			// Drop whatever the failed pass wrote of the new epoch (the
+			// previous epoch stays — the committed snapshot references it
+			// until the rename below).
+			persist.RemoveIndexFiles(s.opts.PersistDir, s.keepEpochs(s.pstate.indexEpoch)...)
+			break
 		}
 	}
 	if emxOK {
@@ -669,9 +663,9 @@ func (s *Store) Flush() error {
 	return s.wal.Sync()
 }
 
-// Close shuts the store down: the micro-batching dispatcher (if
-// enabled) is drained — pending uncertain pairs are flushed and their
-// waiting Resolve calls complete — then the WAL is flushed, finally
+// Close shuts the store down: the micro-batching dispatcher is
+// drained — pending uncertain pairs are flushed and their waiting
+// Resolve calls complete — then the WAL is flushed, finally
 // snapshotted and closed. The store must not be used afterwards:
 // mutations would fail with a closed-WAL or closed-dispatcher error.
 // Idempotent; an in-memory store only drains the dispatcher.
@@ -681,13 +675,11 @@ func (s *Store) Close() error {
 	// queued land in the snapshot's Deferred set and resume after the
 	// next Open.
 	s.stopResilience()
-	if s.disp != nil {
-		// Drained first so no batch is abandoned mid-flight. Callers
-		// wanting the drained decisions in the final snapshot must wait
-		// for their Resolve calls to return before closing — emserve
-		// does, by draining the HTTP server ahead of the store.
-		s.disp.Close()
-	}
+	// Drained first so no batch is abandoned mid-flight. Callers
+	// wanting the drained decisions in the final snapshot must wait
+	// for their Resolve calls to return before closing — emserve
+	// does, by draining the HTTP server ahead of the store.
+	s.disp.Close()
 	if s.wal == nil {
 		s.closeShards()
 		return nil

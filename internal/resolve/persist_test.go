@@ -25,10 +25,11 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Store, *countingClient) 
 }
 
 // persistedStats strips the process-lifetime parts of Stats — engine
-// counters and durability bookkeeping — leaving exactly the state
-// recovery must reproduce.
+// and dispatcher counters and durability bookkeeping — leaving exactly
+// the state recovery must reproduce.
 func persistedStats(st Stats) Stats {
 	st.Engine = pipeline.Stats{}
+	st.Dispatch = DispatchStats{}
 	st.Persist = PersistStats{}
 	return st
 }

@@ -61,7 +61,7 @@ const (
 	DefaultSnapshotEvery = 4096
 	// DefaultDispatchFlush is the longest an uncertain pair waits for
 	// batch-mates before the micro-batching dispatcher flushes a
-	// partial batch (only meaningful with Options.DispatchPairs > 0).
+	// partial batch (only meaningful with Options.DispatchPairs > 1).
 	DefaultDispatchFlush = dispatch.DefaultFlushInterval
 )
 
@@ -98,20 +98,21 @@ type Options struct {
 	Workers    int
 	CacheSize  int
 	MaxRetries int
-	// DispatchPairs enables the cross-request micro-batching
-	// dispatcher (internal/dispatch): uncertain pairs from concurrent
-	// Resolve calls are coalesced into paper-style batched prompts of
-	// at most this many pairs, cutting LLM round-trips under load.
-	// Zero (or negative) disables it: every uncertain pair is its own
-	// client round-trip. Whether batched answers equal per-pair
-	// answers is the client's contract — the dispatcher preserves
+	// DispatchPairs sizes the cross-request micro-batching dispatcher
+	// (internal/dispatch) every escalation goes through: uncertain
+	// pairs from concurrent Resolve calls are coalesced into
+	// paper-style batched prompts of at most this many pairs, cutting
+	// LLM round-trips under load. Zero, one or negative means one pair
+	// per prompt: each uncertain pair is its own client round-trip,
+	// sent at once with no flush wait. Whether batched answers equal
+	// per-pair answers is the client's contract — the dispatcher preserves
 	// decisions exactly for clients that answer batch positions
 	// consistently with per-pair prompts, while simulated study models
 	// add the paper's position-dependent batch noise.
 	DispatchPairs int
 	// DispatchFlush bounds how long a pending uncertain pair waits for
 	// batch-mates before a partial batch is flushed (default
-	// DefaultDispatchFlush). Only meaningful with DispatchPairs > 0.
+	// DefaultDispatchFlush). Only meaningful with DispatchPairs > 1.
 	DispatchFlush time.Duration
 	// PersistDir enables durability: the store journals every ingested
 	// record and fresh match decision to a write-ahead log in this
@@ -170,8 +171,8 @@ func (o Options) withDefaults() Options {
 	if o.SyncEvery < 0 {
 		o.SyncEvery = 0
 	}
-	if o.DispatchPairs < 0 {
-		o.DispatchPairs = 0
+	if o.DispatchPairs < 1 {
+		o.DispatchPairs = 1
 	}
 	if o.DispatchFlush <= 0 {
 		o.DispatchFlush = DefaultDispatchFlush
@@ -195,9 +196,9 @@ type Store struct {
 	eng     *pipeline.Engine
 	pricing cost.Pricing
 	priced  bool
-	// disp is the cross-request micro-batching dispatcher for the
-	// cascade's uncertain band; nil when Options.DispatchPairs is 0.
-	// Shared by every Resolve call, drained by Close.
+	// disp is the cross-request micro-batching dispatcher every
+	// first-pass escalation of the cascade's uncertain band goes
+	// through. Shared by every Resolve call, drained by Close.
 	disp *dispatch.Dispatcher
 	// res is the fault-tolerance layer — breaker, shedder, deferred
 	// queue, re-escalator; nil when Options.Resilience.Enabled is
@@ -515,14 +516,8 @@ func newStore(client llm.Client, opts Options) *Store {
 		journal: map[pairID]persist.DecisionEntry{},
 	}
 	s.pricing, s.priced = cost.For(client.Name())
-	if o.DispatchPairs > 0 {
-		// The per-pair builder is the same prompt Resolve's unbatched
-		// path sends, so the dispatcher's dedupe and cache layering key
-		// on exactly the prompts the rest of the system uses.
-		s.disp = dispatch.New(s.eng, spec.Build,
-			func(ps []entity.Pair) string { return prompt.BuildBatch(o.Domain, ps) },
-			dispatch.Options{MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm})
-	}
+	s.disp = newDispatcher(s.eng, spec, dispatch.Options{
+		MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm})
 	s.rscratch.New = func() any { return &resolveScratch{} }
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -849,9 +844,9 @@ func (s *Store) ResolveContext(ctx context.Context, q entity.Record) (Result, er
 		var modelLat time.Duration
 		var err error
 		if s.res != nil {
-			modelLat, err = s.escalateResilient(ctx, q, pairs, spec, &plan)
+			modelLat, err = s.escalateResilient(ctx, q, pairs, &plan)
 		} else {
-			modelLat, err = s.escalate(ctx, pairs, spec, &plan)
+			modelLat, err = s.escalate(ctx, pairs, &plan)
 		}
 		if err != nil {
 			err = fmt.Errorf("resolve: %w", err)
@@ -922,10 +917,11 @@ func (s *Store) ResolveContext(ctx context.Context, q entity.Record) (Result, er
 
 // escalate sends the planned uncertain pairs to the LLM and fills
 // their decisions and the report's LLM accounting, honoring the
-// configured Cascade.Strategy and reason tier (see escalator). With
-// the micro-batching dispatcher enabled, pairwise prompts ride shared
-// batched prompts (possibly alongside other concurrent Resolve
-// calls); otherwise each request runs on the engine's worker pool.
+// configured Cascade.Strategy and reason tier (see escalator). The
+// first pass goes through the store's dispatcher: with
+// Options.DispatchPairs > 1, pairwise prompts ride shared batched
+// prompts (possibly alongside other concurrent Resolve calls);
+// otherwise each pair is its own prompt.
 // The cascade plan has already applied LLMBudget and
 // MaxCentsPerResolve, so the strategy only changes how many
 // round-trips the escalated pairs cost, never which pairs are
@@ -935,12 +931,11 @@ func (s *Store) ResolveContext(ctx context.Context, q entity.Record) (Result, er
 // report (a batched or grouped answer reports its share of the shared
 // request), letting the stage observer split the escalation
 // wall-clock into model time and dispatch wait.
-func (s *Store) escalate(ctx context.Context, pairs []entity.Pair, spec prompt.Spec, plan *cascadePlan) (time.Duration, error) {
+func (s *Store) escalate(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
 	esc := &escalator{
 		eng:     s.eng,
 		disp:    s.disp,
 		opts:    s.opts.Cascade,
-		spec:    spec,
 		domain:  s.opts.Domain,
 		pricing: s.pricing,
 		priced:  s.priced,
@@ -957,7 +952,7 @@ func (s *Store) escalate(ctx context.Context, pairs []entity.Pair, spec prompt.S
 // silently shed load as fake answers) and context.Canceled (the
 // caller gave up; there is no one to serve a degraded answer to —
 // though pairs already deferred by then stay queued).
-func (s *Store) escalateResilient(ctx context.Context, q entity.Record, pairs []entity.Pair, spec prompt.Spec, plan *cascadePlan) (time.Duration, error) {
+func (s *Store) escalateResilient(ctx context.Context, q entity.Record, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
 	// Fast-path degrade: a known-open breaker or an already-expired
 	// deadline makes the LLM attempt pointless — skip the shedder
 	// queue entirely and answer locally.
@@ -977,7 +972,7 @@ func (s *Store) escalateResilient(ctx context.Context, q entity.Record, pairs []
 		return 0, nil
 	}
 	defer s.res.shed.Release()
-	modelLat, err := s.escalate(ctx, pairs, spec, plan)
+	modelLat, err := s.escalate(ctx, pairs, plan)
 	if err == nil {
 		return modelLat, nil
 	}
@@ -1081,9 +1076,7 @@ type Stats struct {
 	// Engine counts client calls, cache hits and retries of the
 	// underlying pipeline engine.
 	Engine pipeline.Stats
-	// Dispatch reports the micro-batching dispatcher's counters;
-	// Dispatch.Enabled is false when Options.DispatchPairs is 0 and
-	// every embedded counter is then zero.
+	// Dispatch reports the micro-batching dispatcher's counters.
 	Dispatch DispatchStats
 	// Persist reports the durability side: recovery counts, WAL and
 	// snapshot activity. Persist.Enabled is false for in-memory
@@ -1142,10 +1135,8 @@ func (s *Store) Stats() Stats {
 		Cents:            t.cents,
 		Priced:           s.priced,
 		Engine:           s.eng.Stats(),
+		Dispatch:         s.disp.Stats(),
 		Persist:          ps,
-	}
-	if s.disp != nil {
-		st.Dispatch = DispatchStats{Enabled: true, Stats: s.disp.Stats()}
 	}
 	if s.res != nil {
 		st.Resilience = ResilienceStats{
@@ -1164,9 +1155,4 @@ func (s *Store) Stats() Stats {
 }
 
 // DispatchStats snapshots the micro-batching dispatcher's counters.
-// Enabled reports whether the store was built with
-// Options.DispatchPairs > 0.
-type DispatchStats struct {
-	Enabled bool
-	dispatch.Stats
-}
+type DispatchStats = dispatch.Stats

@@ -16,16 +16,25 @@ import (
 // over a query's uncertain pairs under the configured Strategy
 // (pairwise match, grouped compare, grouped select) and the optional
 // reason-tier second pass. It is shared between the serving path
-// (Store.escalate, dispatcher-backed) and offline evaluation
-// (EvaluateGroups, engine-direct).
+// (Store.escalate) and offline evaluation (EvaluateGroups); both send
+// the first pass through a dispatcher, while the reason tier asks the
+// engine per pair with its own prompts.
 type escalator struct {
 	eng     *pipeline.Engine
 	disp    *dispatch.Dispatcher
 	opts    CascadeOptions
-	spec    prompt.Spec
 	domain  entity.Domain
 	pricing cost.Pricing
 	priced  bool
+}
+
+// newDispatcher returns a first-pass dispatcher over eng. Its per-pair
+// builder is spec.Build — the prompt the deferred re-escalator also
+// sends — so the dispatcher's dedupe and cache layering key on
+// exactly the prompts the rest of the system uses.
+func newDispatcher(eng *pipeline.Engine, spec prompt.Spec, opts dispatch.Options) *dispatch.Dispatcher {
+	return dispatch.New(eng, spec.Build,
+		func(ps []entity.Pair) string { return prompt.BuildBatch(spec.Domain, ps) }, opts)
 }
 
 // run decides the planned uncertain pairs and fills their decisions
@@ -73,72 +82,49 @@ func (e *escalator) accountUsage(plan *cascadePlan, u *StrategyUsage, promptToke
 }
 
 // runMatch is the pairwise first pass: each uncertain pair is its own
-// prompt, coalesced into cross-request batches when the dispatcher is
-// enabled.
+// prompt, coalesced into cross-request batches when the dispatcher
+// batches.
 func (e *escalator) runMatch(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
-	var modelLat time.Duration
-	if e.disp != nil {
-		results, err := e.disp.DoAllContext(ctx, pairs)
-		if err != nil {
-			return 0, err
-		}
-		batchesSeen := map[uint64]bool{}
-		callBatches := map[uint64]bool{}
-		for i, r := range results {
-			d := &plan.decisions[plan.llm[i]]
-			d.Match = r.Match
-			d.Method = MethodLLM
-			d.Answer = r.Answer
-			d.Cached = r.Cached
-			d.Batched = r.Batched
-			plan.report.LLMPairs++
-			if r.Cached {
-				plan.report.CacheHits++
-			}
-			if r.Batched {
-				plan.report.BatchedPairs++
-				if !batchesSeen[r.BatchID] {
-					batchesSeen[r.BatchID] = true
-					plan.report.Batches++
-				}
-			}
-			if r.FellBack {
-				plan.report.BatchFallbacks++
-			}
-			switch {
-			case r.Cached:
-			case r.Batched:
-				if !callBatches[r.BatchID] {
-					callBatches[r.BatchID] = true
-					plan.report.MatchUsage.Calls++
-				}
-			default:
-				plan.report.MatchUsage.Calls++
-			}
-			modelLat += r.Usage.Latency
-			e.accountUsage(plan, &plan.report.MatchUsage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
-		}
-		return modelLat, nil
-	}
-
-	decided, err := e.eng.MatchContext(ctx, pairs, e.spec.Build, core.ParseAnswer)
+	results, err := e.disp.DoAllContext(ctx, pairs)
 	if err != nil {
 		return 0, err
 	}
-	for i, pd := range decided {
+	var modelLat time.Duration
+	batchesSeen := map[uint64]bool{}
+	callBatches := map[uint64]bool{}
+	for i, r := range results {
 		d := &plan.decisions[plan.llm[i]]
-		d.Match = pd.Match
+		d.Match = r.Match
 		d.Method = MethodLLM
-		d.Answer = pd.Answer
-		d.Cached = pd.Cached
+		d.Answer = r.Answer
+		d.Cached = r.Cached
+		d.Batched = r.Batched
 		plan.report.LLMPairs++
-		if pd.Cached {
+		if r.Cached {
 			plan.report.CacheHits++
-		} else {
+		}
+		if r.Batched {
+			plan.report.BatchedPairs++
+			if !batchesSeen[r.BatchID] {
+				batchesSeen[r.BatchID] = true
+				plan.report.Batches++
+			}
+		}
+		if r.FellBack {
+			plan.report.BatchFallbacks++
+		}
+		switch {
+		case r.Cached:
+		case r.Batched:
+			if !callBatches[r.BatchID] {
+				callBatches[r.BatchID] = true
+				plan.report.MatchUsage.Calls++
+			}
+		default:
 			plan.report.MatchUsage.Calls++
 		}
-		modelLat += pd.Usage.Latency
-		e.accountUsage(plan, &plan.report.MatchUsage, pd.Usage.PromptTokens, pd.Usage.CompletionTokens)
+		modelLat += r.Usage.Latency
+		e.accountUsage(plan, &plan.report.MatchUsage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
 	}
 	return modelLat, nil
 }
@@ -190,13 +176,7 @@ func (e *escalator) runGrouped(ctx context.Context, pairs []entity.Pair, plan *c
 		usage = &plan.report.SelectUsage
 	}
 
-	var results []dispatch.Result
-	var err error
-	if e.disp != nil {
-		results, err = e.disp.DoGroupContext(ctx, pairs, gspec)
-	} else {
-		results, err = dispatch.RunGroupContext(ctx, e.eng, e.spec.Build, pairs, gspec)
-	}
+	results, err := e.disp.DoGroupContext(ctx, pairs, gspec)
 	if err != nil {
 		return 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"llm4em/internal/cost"
+	"llm4em/internal/dispatch"
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
 	"llm4em/internal/features"
@@ -74,10 +75,14 @@ func EvaluateGroups(client llm.Client, opts EvalOptions, groups []CandidateGroup
 		CacheSize:  o.CacheSize,
 		MaxRetries: o.MaxRetries,
 	})
+	// One pair per prompt: offline groups run one at a time, so there
+	// are no concurrent callers to batch with.
+	disp := newDispatcher(eng, prompt.Spec{Design: o.Design, Domain: o.Domain}, dispatch.Options{MaxBatchPairs: 1})
+	defer disp.Close()
 	esc := &escalator{
 		eng:     eng,
+		disp:    disp,
 		opts:    o.Cascade,
-		spec:    prompt.Spec{Design: o.Design, Domain: o.Domain},
 		domain:  o.Domain,
 		pricing: pricing,
 		priced:  priced,

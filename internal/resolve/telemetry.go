@@ -102,10 +102,9 @@ func (o *stageObserver) finish(queryID string, report CostReport, err error) {
 
 // Live reports whether the store can still serve mutations: false
 // once the dispatcher or the WAL has been closed. Readiness/health
-// endpoints poll it; an in-memory store without a dispatcher is
-// always live (it has no closable parts).
+// endpoints poll it.
 func (s *Store) Live() bool {
-	if s.disp != nil && s.disp.Closed() {
+	if s.disp.Closed() {
 		return false
 	}
 	if s.wal != nil {

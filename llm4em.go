@@ -21,11 +21,12 @@
 // entity-resolution store: records are indexed as they arrive,
 // queries resolve against a sharded inverted IDF index, and a cascade
 // matcher answers confident candidate pairs with a local calibrated
-// scorer so only the uncertain band reaches the LLM. With
-// StoreOptions.DispatchPairs set, uncertain pairs from concurrent
-// Resolve calls are additionally coalesced into batched prompts by a
-// cross-request micro-batching dispatcher, cutting LLM round-trips
-// under load. The emserve command exposes the store over HTTP JSON.
+// scorer so only the uncertain band reaches the LLM, through a
+// cross-request micro-batching dispatcher: with
+// StoreOptions.DispatchPairs above 1, uncertain pairs from concurrent
+// Resolve calls are coalesced into batched prompts, cutting LLM
+// round-trips under load. The emserve command exposes the store over
+// HTTP JSON.
 //
 // Training data can be plugged in as in-context demonstrations
 // (llm4em.NewRelatedSelector, …), textual matching rules
@@ -157,8 +158,9 @@ type (
 	StoreStats = resolve.Stats
 	// StoreDispatchStats snapshots the cross-request micro-batching
 	// dispatcher's counters (batches issued, pairs batched, fallbacks,
-	// single-flight and cache hits). Enabled is false for stores built
-	// without StoreOptions.DispatchPairs.
+	// single-flight and cache hits). Every store has a dispatcher; with
+	// StoreOptions.DispatchPairs at 0 or 1 it sends one pair per prompt
+	// and the batch counters stay zero.
 	StoreDispatchStats = resolve.DispatchStats
 	// StorePersistStats snapshots the durability counters of a
 	// persistent store: recovery counts, WAL and snapshot activity.
